@@ -4,13 +4,14 @@ Everything is computed over arbitrary-precision integers and rationals;
 no floating point is involved anywhere.  The building blocks:
 
 * laurent     -- sparse bivariate Laurent polynomials (rational q-exponents,
-                 integer z-exponents) and the z^p = 1 quotient ring
+                 integer z-exponents) and their reduction modulo z^p = 1
 * qbinom      -- q-Pochhammer symbols, Gaussian binomials, and their
                  two-branch extension to negative upper index
 * supernomial -- q-supernomial coefficients and the site-vector calculus
 * fermionic   -- quadratic-form lattice sums with certified finite support,
                  and Gordon-type series with certified truncation
-* fusion      -- fusion-ring products and coinvariant dimension counts
+* fusion      -- the fusion ring of Z/pZ (cyclic convolution) and
+                 coinvariant dimension counts
 * characters  -- graded character formulas with exact fractional prefactors
 * cli         -- `qchar compute ...` and `qchar verify ...`
 
@@ -19,7 +20,7 @@ together (Pascal systems, product refactorings, lattice sum = supernomial
 sum, character route equality, spectral flow, dimension agreement).
 """
 
-from .laurent import BiLaurent, CyclotomicVector, cyclic_convolve, partition_series
+from .laurent import BiLaurent, partition_series
 from .qbinom import qbinomial, qbinomial_ext, qpochhammer
 from .supernomial import (
     SiteVector,
@@ -63,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiLaurent",
     "CharacterValue",
-    "CyclotomicVector",
     "FusionVector",
     "NonFiniteSupportError",
     "QuadraticData",
@@ -72,7 +72,6 @@ __all__ = [
     "coinv_char_fermionic",
     "coinv_char_supernomial",
     "coupling_matrix",
-    "cyclic_convolve",
     "decompose_site",
     "dims_via_supernomial",
     "elementary_dims",

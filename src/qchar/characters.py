@@ -24,7 +24,7 @@ from .fermionic import (
     support_box,
     _budget,
 )
-from .supernomial import SiteVector, multiplicities, supernomial
+from .supernomial import SiteVector, multiplicities, supernomial_lattice_side
 
 __all__ = [
     "CharacterValue",
@@ -37,9 +37,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterValue:
-    """A graded character z^z_shift q^q_shift * poly."""
+    """A graded character z^z_shift q^q_shift * poly.
+
+    Unhashable: equality normalizes the shifts, which no field hash respects.
+    """
 
     q_shift: Fraction | int
     z_shift: Fraction | int
@@ -107,23 +110,14 @@ def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
 
 def supernomial_char_poly(p: int, r: int, mult, minus: int) -> BiLaurent:
     """Polynomial part of the supernomial character route:
-    sum_m z^m q^(p(m^2+m)/2 - (r+1)m) * supernomial(L, p*m + r + minus).
+    sum_m z^m q^(p(m^2+m)/2 - (r+1)m) * supernomial(L, p*m + r + minus),
+    which is the lattice side at minus + r under z -> z q^(p/2 - r - 1).
 
     At q = z = 1 the sum picks out the supernomial arguments congruent to
     r + minus mod p, which is exactly the weight-r dimension count."""
-    mult = tuple(mult)
-    top = sum((i + 1) * v for i, v in enumerate(mult))
-    out = BiLaurent.zero()
-    m = -((minus + r) // p) - 2  # safely below the supernomial support
-    while p * m + r + minus <= top:
-        arg = p * m + r + minus
-        if arg >= 0:
-            piece = supernomial(mult, arg)
-            if piece:
-                exponent = p * (m * m + m) // 2 - (r + 1) * m
-                out = out + piece.shift(exponent, m)
-        m += 1
-    return out
+    return supernomial_lattice_side(p, mult, minus + r).substitute_z(
+        Fraction(p, 2) - r - 1
+    )
 
 
 def coinv_char_supernomial(r: int, site: SiteVector) -> CharacterValue:

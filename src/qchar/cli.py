@@ -198,6 +198,9 @@ def _verify_options(args) -> dict:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
+        for key, value in loaded.items():
+            if type(value) is not int:
+                raise ValueError(f"config option {key!r} must be an integer")
         opts.update(loaded)
     if args.p is not None:
         lo, hi = _parse_range(args.p)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import BiLaurent
-from .supernomial import SiteVector, multiplicities, supernomial_at1
+from .supernomial import SiteVector, _residue_class, multiplicities, supernomial_at1
 
 __all__ = [
     "FusionVector",
@@ -99,8 +99,7 @@ def fusion_dims(p: int, pairs) -> FusionVector:
         if not 0 <= i <= p:
             raise ValueError("need 0 <= i <= p in every pair")
         poly = poly * BiLaurent({(0, t - j): 1 for t in range(i + 1)})
-    cyc = poly.cyclotomic(p)
-    return FusionVector(p, cyc.coeffs)
+    return FusionVector(p, poly.cyclotomic(p))
 
 
 def elementary_site(p: int, i: int, j: int) -> SiteVector:
@@ -157,15 +156,10 @@ def dims_via_supernomial(site: SiteVector, r: int) -> int:
     mult = multiplicities(site)
     if any(v < 0 for v in mult):
         raise ValueError(f"not decomposable: multiplicities {mult}")
-    top = sum((i + 1) * v for i, v in enumerate(mult))
-    total = 0
-    a = -((site.minus + r) // p) - 2  # start safely below the support
-    while p * a + site.minus + r <= top:
-        arg = p * a + site.minus + r
-        if arg >= 0:
-            total += supernomial_at1(mult, arg)
-        a += 1
-    return total
+    return sum(
+        supernomial_at1(mult, arg)
+        for _, arg in _residue_class(p, mult, site.minus + r)
+    )
 
 
 def closed_form_dims(p: int, mult) -> int | None:

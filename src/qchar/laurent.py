@@ -20,19 +20,16 @@ ever rounded or reduced modulo anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Exp = Union[int, Fraction]
 
 __all__ = [
     "BiLaurent",
-    "CyclotomicVector",
     "Fraction",
     "bounded_partition_counts",
-    "cyclic_convolve",
     "partition_series",
 ]
 
@@ -250,8 +247,9 @@ class BiLaurent:
             {k: c for k, c in self._terms.items() if -window <= k[1] <= window}
         )
 
-    def cyclotomic(self, p: int) -> "CyclotomicVector":
-        """Reduce a z-only Laurent polynomial modulo z^p = 1."""
+    def cyclotomic(self, p: int) -> tuple[int, ...]:
+        """Reduce a z-only Laurent polynomial modulo z^p = 1: the p
+        coefficients of z^0, ..., z^(p-1)."""
         if p < 1:
             raise ValueError("p must be positive")
         coeffs = [0] * p
@@ -259,7 +257,7 @@ class BiLaurent:
             if q != 0:
                 raise ValueError("cyclotomic reduction needs a q-free value")
             coeffs[z % p] += c
-        return CyclotomicVector(p, tuple(coeffs))
+        return tuple(coeffs)
 
     # -- exact division ------------------------------------------------------
 
@@ -302,48 +300,34 @@ class BiLaurent:
         s = str(e)
         return s if s.isdigit() else f"({s})"
 
-    def __str__(self) -> str:
+    def _render(self, power, sep: str) -> str:
+        # One term renderer for every text format: `power(var, exp)` writes a
+        # nonzero power, `sep` joins the factors of a term.
         if not self._terms:
             return "0"
         parts = []
         for q, z, c in self.terms():
-            factors = []
-            if q != 0:
-                factors.append("q" if q == 1 else f"q^{self._fmt_exp(q)}")
-            if z != 0:
-                factors.append("z" if z == 1 else f"z^{self._fmt_exp(z)}")
+            factors = [power(var, e) for var, e in (("q", q), ("z", z)) if e != 0]
             mag = abs(c)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
+            body = sep.join(factors)
+            if parts:
                 parts.append(("+ " if c > 0 else "- ") + body)
+            else:
+                parts.append(body if c > 0 else "-" + body)
         return " ".join(parts)
+
+    def __str__(self) -> str:
+        return self._render(
+            lambda var, e: var if e == 1 else f"{var}^{self._fmt_exp(e)}", "*"
+        )
 
     def __repr__(self) -> str:
         return f"BiLaurent({str(self)})"
 
     def to_latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for q, z, c in self.terms():
-            factors = []
-            if q != 0:
-                factors.append(f"q^{{{q}}}")
-            if z != 0:
-                factors.append(f"z^{{{z}}}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = " ".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return self._render(lambda var, e: f"{var}^{{{e}}}", " ")
 
     # -- serialization ---------------------------------------------------------
 
@@ -368,50 +352,6 @@ class BiLaurent:
     @classmethod
     def loads(cls, s: str) -> "BiLaurent":
         return cls.from_json_obj(json.loads(s))
-
-
-# -- z^p = 1 quotient ring ------------------------------------------------------
-
-
-def cyclic_convolve(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    a = tuple(a)
-    b = tuple(b)
-    p = len(a)
-    if len(b) != p:
-        raise ValueError("length mismatch")
-    out = [0] * p
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[(i + j) % p] += x * y
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CyclotomicVector:
-    """Element of Z[x]/(x^p - 1), stored as the coefficients of x^0..x^(p-1)."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be positive")
-        if len(self.coeffs) != self.p:
-            raise ValueError("need exactly p coefficients")
-
-    @classmethod
-    def unit(cls, p: int) -> "CyclotomicVector":
-        return cls(p, (1,) + (0,) * (p - 1))
-
-    def __mul__(self, other: "CyclotomicVector") -> "CyclotomicVector":
-        if not isinstance(other, CyclotomicVector):
-            return NotImplemented
-        if self.p != other.p:
-            raise ValueError("mismatched ring sizes")
-        return CyclotomicVector(self.p, cyclic_convolve(self.coeffs, other.coeffs))
 
 
 # -- partition series ---------------------------------------------------------
@@ -472,3 +412,15 @@ def _qdict_mul(a: dict, b: dict, cap=None) -> dict:
                 elif k in out:
                     del out[k]
     return out
+
+
+def _qdict_iadd(acc: dict, d: dict, shift) -> None:
+    """acc += q^shift * d, in place, never storing a zero coefficient."""
+    get = acc.get
+    for e, c in d.items():
+        k = e + shift
+        v = get(k, 0) + c
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]

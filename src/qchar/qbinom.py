@@ -32,8 +32,13 @@ def qpochhammer(n: int) -> BiLaurent:
         raise ValueError("qpochhammer needs n >= 0")
     poly = _POCH.get(n)
     if poly is None:
-        poly = qpochhammer(n - 1) * BiLaurent({(0, 0): 1, (n, 0): -1})
-        _POCH[n] = poly
+        # the table always holds the indices 0..len-1; extend it upward
+        k = len(_POCH) - 1
+        poly = _POCH[k]
+        while k < n:
+            k += 1
+            poly = poly * BiLaurent({(0, 0): 1, (k, 0): -1})
+            _POCH[k] = poly
     return poly
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .laurent import BiLaurent, _qdict_mul
-from .qbinom import qbinomial
+from .laurent import BiLaurent, _qdict_iadd, _qdict_mul
+from .qbinom import _ext_qdict
 
 __all__ = [
     "SiteVector",
@@ -24,6 +25,7 @@ __all__ = [
     "second_diff_matrix",
     "supernomial",
     "supernomial_at1",
+    "supernomial_lattice_side",
 ]
 
 
@@ -142,13 +144,7 @@ def supernomial(entries, a: int) -> BiLaurent:
     if poly is None:
         acc: dict = {}
         for exp, factors in _compositions(entries, a):
-            for e, c in factors.items():
-                k = exp + e
-                v = acc.get(k, 0) + c
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
+            _qdict_iadd(acc, factors, exp)
         poly = BiLaurent.from_qdict(acc)
         _SUP[key] = poly
     return poly
@@ -178,7 +174,7 @@ def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
     (0, ((top, bottom), ...)).  Bounds follow the vanishing of the binomial
     factors: n_k in [0, L_k], then n_{i} in [0, L_i + n_{i+1}]."""
     k = len(entries)
-    if a < 0 or a > sum((i + 1) * v for i, v in enumerate(entries)):
+    if a < 0 or a > _top(entries):
         return
     suffix = [0] * (k + 2)
     for i in range(k, 0, -1):
@@ -193,7 +189,7 @@ def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
                 if k > 1:
                     exp = exp + n1 * (suffix[2] - next_n)
                 if weights:
-                    f = _qdict_mul(factors, _qbin_qdict(top, n1))
+                    f = _qdict_mul(factors, _ext_qdict(top, n1))
                     if f:
                         yield exp, f
                 else:
@@ -203,7 +199,7 @@ def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
         for n in range(0, min(top, remaining) + 1):
             e2 = exp + (n * (suffix[pos + 1] - next_n) if pos < k else 0)
             if weights:
-                f = _qdict_mul(factors, _qbin_qdict(top, n))
+                f = _qdict_mul(factors, _ext_qdict(top, n))
                 if not f:
                     continue
                 yield from rec(pos - 1, remaining - n, n, e2, f)
@@ -214,12 +210,26 @@ def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
     yield from rec(k, a, 0, 0, start)
 
 
-_QBIN_QDICT: dict[tuple[int, int], dict] = {}
+def _top(entries) -> int:
+    """sum_j j*L_j, the largest argument with a nonzero supernomial."""
+    return sum((i + 1) * v for i, v in enumerate(entries))
 
 
-def _qbin_qdict(n: int, m: int) -> dict:
-    d = _QBIN_QDICT.get((n, m))
-    if d is None:
-        d = {q: c for (q, _), c in qbinomial(n, m)._terms.items()}
-        _QBIN_QDICT[(n, m)] = d
-    return d
+def _residue_class(p: int, entries, c: int):
+    """Yield (a, p*a + c) for exactly the a with 0 <= p*a + c <= sum_j j*L_j,
+    the arguments of the residue class of c mod p where supernomial(L, .)
+    can be nonzero."""
+    for a in range(-(c // p), (_top(entries) - c) // p + 1):
+        yield a, p * a + c
+
+
+def supernomial_lattice_side(p: int, mult, minus: int) -> BiLaurent:
+    """sum_a z^a q^(p a^2 / 2) supernomial(L, p*a + minus): the supernomial
+    side of the lattice-sum identities."""
+    mult = tuple(mult)
+    out = BiLaurent.zero()
+    for a, arg in _residue_class(p, mult, minus):
+        piece = supernomial(mult, arg)
+        if piece:
+            out = out + piece.shift(Fraction(p * a * a, 2), a)
+    return out

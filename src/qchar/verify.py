@@ -35,9 +35,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .laurent import BiLaurent, _qdict_mul
+from .laurent import BiLaurent, _qdict_iadd, _qdict_mul
 from .qbinom import _ext_qdict, qbinomial, qbinomial_ext
-from .supernomial import SiteVector, multiplicities, supernomial
+from .supernomial import (
+    SiteVector,
+    multiplicities,
+    supernomial,
+    supernomial_lattice_side,
+)
 from .fermionic import (
     QuadraticData,
     coupling_matrix,
@@ -104,11 +109,27 @@ class IdentityReport:
 
 
 def _poly_json(value):
-    if isinstance(value, BiLaurent):
-        return value.to_json_obj()
+    if isinstance(value, dict):
+        return {key: _poly_json(v) for key, v in value.items()}
     if hasattr(value, "to_json_obj"):
         return value.to_json_obj()
     return value
+
+
+def _compare(params, lhs, rhs):
+    """None when the identity lhs = rhs holds, else the failure payload.
+
+    Either side may be a dict of named values; the identity then holds when
+    every value on the left equals every value on the right."""
+    lefts = lhs.values() if isinstance(lhs, dict) else (lhs,)
+    rights = rhs.values() if isinstance(rhs, dict) else (rhs,)
+    if all(x == y for x in lefts for y in rights):
+        return None
+    return {"params": params, "lhs": _poly_json(lhs), "rhs": _poly_json(rhs)}
+
+
+def _site_params(p, d, plus, minus, levels) -> dict:
+    return {"p": p, "d": d, "plus": plus, "minus": minus, "levels": list(levels)}
 
 
 # -- shared sweep enumeration --------------------------------------------------
@@ -144,23 +165,6 @@ def _full_site_cases(p_lo, p_hi, entry_max):
                     if all(v >= 0 for v in multiplicities(site)):
                         for r in range(p):
                             yield (p, r, plus, minus, levels)
-
-
-def supernomial_lattice_side(p: int, mult, minus: int) -> BiLaurent:
-    """sum_a z^a q^(p a^2 / 2) supernomial(L, p*a + minus): the supernomial
-    side of the lattice-sum identities."""
-    mult = tuple(mult)
-    top = sum((i + 1) * v for i, v in enumerate(mult))
-    out = BiLaurent.zero()
-    a = -(minus // p) - 2
-    while p * a + minus <= top:
-        arg = p * a + minus
-        if arg >= 0:
-            piece = supernomial(mult, arg)
-            if piece:
-                out = out + piece.shift(Fraction(p * a * a, 2), a)
-        a += 1
-    return out
 
 
 def _is_balanced(p, d, plus, minus, levels):
@@ -245,23 +249,15 @@ def _check_pascal(case):
         b = qbinomial_ext(n - 1, m) + BiLaurent.term(1, n - m) * qbinomial_ext(
             n - 1, m - 1
         )
-        if x != a or x != b:
-            return {
-                "params": {"case": "id", "n": n, "m": m},
-                "lhs": _poly_json(x),
-                "rhs": {"first": _poly_json(a), "second": _poly_json(b)},
-            }
-        return None
+        return _compare({"case": "id", "n": n, "m": m}, x,
+                        {"first": a, "second": b})
     _, w = case
     table = regenerate_ext_table(w)
     for (n, m), regen in sorted(table.items()):
-        direct = qbinomial_ext(n, m)
-        if regen != direct:
-            return {
-                "params": {"case": "regen", "n": n, "m": m},
-                "lhs": _poly_json(regen),
-                "rhs": _poly_json(direct),
-            }
+        failure = _compare({"case": "regen", "n": n, "m": m}, regen,
+                           qbinomial_ext(n, m))
+        if failure:
+            return failure
     return None
 
 
@@ -293,21 +289,11 @@ def _check_rdc(case):
             t = _qdict_mul(t, _ext_qdict(big_n + big_m - n - m + l, l))
             if not t:
                 continue
-            shift = (n - l) * (m - l)
-            for e, c in t.items():
-                k = e + shift
-                v = rhs.get(k, 0) + c
-                if v:
-                    rhs[k] = v
-                elif k in rhs:
-                    del rhs[k]
-    if lhs != rhs:
-        return {
-            "params": {"N": big_n, "M": big_m, "n": n, "m": m},
-            "lhs": _poly_json(BiLaurent.from_qdict(lhs)),
-            "rhs": _poly_json(BiLaurent.from_qdict(rhs)),
-        }
-    return None
+            _qdict_iadd(rhs, t, (n - l) * (m - l))
+    if lhs == rhs:  # the sweep's hot path: skip wrapping the raw dicts
+        return None
+    return _compare({"N": big_n, "M": big_m, "n": n, "m": m},
+                    BiLaurent.from_qdict(lhs), BiLaurent.from_qdict(rhs))
 
 
 # -- knuth -----------------------------------------------------------------------
@@ -333,22 +319,9 @@ def _check_knuth(case):
     lhs: dict = {}
     for k in range(lo, hi + 1):
         t = _qdict_mul(_ext_qdict(big_m, a + k), _ext_qdict(big_s, k))
-        shift = k * k + a * k
-        for e, c in t.items():
-            key = e + shift
-            v = lhs.get(key, 0) + c
-            if v:
-                lhs[key] = v
-            elif key in lhs:
-                del lhs[key]
-    rhs = qbinomial(big_m + big_s, big_s + a)
-    if BiLaurent.from_qdict(lhs) != rhs:
-        return {
-            "params": {"M": big_m, "S": big_s, "a": a},
-            "lhs": _poly_json(BiLaurent.from_qdict(lhs)),
-            "rhs": _poly_json(rhs),
-        }
-    return None
+        _qdict_iadd(lhs, t, k * k + a * k)
+    return _compare({"M": big_m, "S": big_s, "a": a}, BiLaurent.from_qdict(lhs),
+                    qbinomial(big_m + big_s, big_s + a))
 
 
 # -- ta / tb -----------------------------------------------------------------------
@@ -371,24 +344,16 @@ def _cases_ta(opts):
 
 
 def _check_tb(case):
-    p, d, plus, minus, levels = case
+    p, _, plus, minus, levels = case
     site = SiteVector(p, plus, minus, levels)
-    lhs = fermionic_sum(site)
-    rhs = supernomial_lattice_side(p, multiplicities(site), minus)
-    if lhs != rhs:
-        return {
-            "params": {"p": p, "d": d, "plus": plus, "minus": minus,
-                       "levels": list(levels)},
-            "lhs": _poly_json(lhs),
-            "rhs": _poly_json(rhs),
-        }
-    return None
+    return _compare(_site_params(*case), fermionic_sum(site),
+                    supernomial_lattice_side(p, multiplicities(site), minus))
 
 
 def _check_ta(case):
     p, d, plus, minus, levels = case
     site = SiteVector(p, plus, minus, levels)
-    params = {"p": p, "d": d, "plus": plus, "minus": minus, "levels": list(levels)}
+    params = _site_params(*case)
     data = QuadraticData(
         coupling_matrix(p, d), standard_flow_vector(d + 2), (), ()
     )
@@ -401,14 +366,8 @@ def _check_ta(case):
         return {"params": params, "lhs": {"negative_support": bad}, "rhs": None}
     ext = lattice_sum(data, comps, box, budget=budget)
     std = lattice_sum(data, comps, box, budget=budget, extended=False)
-    rhs = supernomial_lattice_side(p, multiplicities(site), minus)
-    if ext != std or ext != rhs:
-        return {
-            "params": params,
-            "lhs": {"extended": _poly_json(ext), "standard": _poly_json(std)},
-            "rhs": _poly_json(rhs),
-        }
-    return None
+    return _compare(params, {"extended": ext, "standard": std},
+                    supernomial_lattice_side(p, multiplicities(site), minus))
 
 
 # -- rec ----------------------------------------------------------------------------
@@ -490,67 +449,35 @@ def _check_rec(case):
         rhs = supernomial(plus_k1, a - 1) + BiLaurent.term(1, a) * supernomial(
             mult, a
         )
-        if lhs != rhs:
-            return {
-                "params": {"case": "sup", "L": list(mult), "a": a},
-                "lhs": _poly_json(lhs),
-                "rhs": _poly_json(rhs),
-            }
-        return None
+        return _compare({"case": "sup", "L": list(mult), "a": a}, lhs, rhs)
     if kind == "trunc":
         _, mult, a = case
-        lhs = supernomial(mult + (0,), a)
-        rhs = supernomial(mult, a)
-        if lhs != rhs:
-            return {
-                "params": {"case": "trunc", "L": list(mult), "a": a},
-                "lhs": _poly_json(lhs),
-                "rhs": _poly_json(rhs),
-            }
-        return None
+        return _compare({"case": "trunc", "L": list(mult), "a": a},
+                        supernomial(mult + (0,), a), supernomial(mult, a))
     if kind == "pad":
         _, p, plus, minus, levels = case
         short = SiteVector(p, plus, minus, levels)
         padded = SiteVector(p, plus, minus, levels + (plus + minus,))
-        lhs = fermionic_sum(short)
-        rhs = fermionic_sum(padded)
-        if lhs != rhs:
-            return {
-                "params": {"case": "pad", "p": p, "plus": plus, "minus": minus,
-                           "levels": list(levels)},
-                "lhs": _poly_json(lhs),
-                "rhs": _poly_json(rhs),
-            }
-        return None
+        return _compare({"case": "pad", "p": p, "plus": plus, "minus": minus,
+                         "levels": list(levels)},
+                        fermionic_sum(short), fermionic_sum(padded))
     if kind == "main":
         _, p, d, plus, minus, levels, aidx = case
-        site = SiteVector(p, plus, minus, levels)
         a_mat = coupling_matrix(p, d)
         u = standard_flow_vector(d + 2)
-        data = QuadraticData(a_mat, u, (), ())
 
         def chi(comps):
-            s = SiteVector(p, comps[0], comps[1], comps[2:])
-            return lattice_sum(
-                data, comps, support_box(s), budget=_budget(s)
-            )
+            return fermionic_sum(SiteVector(p, comps[0], comps[1], comps[2:]))
 
-        comps = site.components()
-        lhs = chi(comps)
+        comps = SiteVector(p, plus, minus, levels).components()
         down = _shift_components(comps, aidx, 1)
         downa = tuple(x - a_mat[aidx][b] for b, x in enumerate(comps))
         pref = BiLaurent.term(
             1, Fraction(2 * comps[aidx] - a_mat[aidx][aidx], 2), u[aidx]
         )
-        rhs = chi(down) + pref * chi(downa)
-        if lhs != rhs:
-            return {
-                "params": {"case": "main", "p": p, "d": d, "plus": plus,
-                           "minus": minus, "levels": list(levels), "a": aidx},
-                "lhs": _poly_json(lhs),
-                "rhs": _poly_json(rhs),
-            }
-        return None
+        return _compare({"case": "main", "p": p, "d": d, "plus": plus,
+                         "minus": minus, "levels": list(levels), "a": aidx},
+                        chi(comps), chi(down) + pref * chi(downa))
     # diag: one cutoff-recurrence step for a diagonal matrix with optional
     # half-integer exponent shift
     _, m, diag, nvec, u, v2, aidx = case
@@ -569,14 +496,8 @@ def _check_rec(case):
         u[aidx],
     )
     rhs = lattice_sum(data, down, box) + pref * lattice_sum(data, downa, box)
-    if lhs != rhs:
-        return {
-            "params": {"case": "diag", "diag": list(diag), "N": list(nvec),
-                       "u": list(u), "v2": list(v2), "a": aidx},
-            "lhs": _poly_json(lhs),
-            "rhs": _poly_json(rhs),
-        }
-    return None
+    return _compare({"case": "diag", "diag": list(diag), "N": list(nvec),
+                     "u": list(u), "v2": list(v2), "a": aidx}, lhs, rhs)
 
 
 # -- char-eq / flow / dims -------------------------------------------------------------
@@ -612,9 +533,7 @@ def _check_chareq(case):
         rhs = coinv_char_supernomial(r, full)
         params = {"case": "cor", "p": p, "r": r, "d": d, "plus": plus,
                   "minus": minus, "levels": list(levels)}
-    if lhs != rhs:
-        return {"params": params, "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
-    return None
+    return _compare(params, lhs, rhs)
 
 
 def _cases_flow(opts):

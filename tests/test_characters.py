@@ -36,6 +36,11 @@ def test_character_value_normalization():
     assert a != CharacterValue(Fraction(1, 2), 0, BiLaurent.one())
 
 
+def test_character_value_is_unhashable():
+    with pytest.raises(TypeError, match="CharacterValue"):
+        hash(CharacterValue(0, 0, BiLaurent.one()))
+
+
 def test_rep_character_p2_window():
     value = rep_character(2, 0, 2, 1)
     assert value.q_shift == 0 and value.z_shift == 0

@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 import qchar.verify as verify
 from qchar.cli import main
@@ -167,6 +168,16 @@ def test_verify_config_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "rdc", "--config", str(config))
     assert code == 0
     assert f"{5 ** 4} cases" in out
+
+
+@pytest.mark.parametrize("value", ["3", True, 3.0, None, [3]])
+def test_verify_config_rejects_non_integer_values(capsys, tmp_path, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"nmax": value}))
+    code, out, err = run_cli(capsys, "verify", "tb", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_corrupted_engine_is_caught(capsys, monkeypatch):

@@ -1,7 +1,10 @@
 """q-Pochhammer, Gaussian binomials, and the extended coefficients."""
 
+import sys
+
 import pytest
 
+from qchar import qbinom
 from qchar.laurent import BiLaurent
 from qchar.qbinom import ext_min_qexp, qbinomial, qbinomial_ext, qpochhammer
 
@@ -21,6 +24,29 @@ def test_qpochhammer_small():
 def test_qpochhammer_rejects_negative():
     with pytest.raises(ValueError):
         qpochhammer(-1)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_qpochhammer_uses_constant_stack():
+    # many more new table entries than spare stack frames: filling the
+    # table recursively would raise RecursionError
+    n = len(qbinom._POCH) + 120
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        poly = qpochhammer(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    # Euler's pentagonal numbers fix the low coefficients of (q)_n
+    assert [poly.coefficient(j) for j in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
+    assert poly.q_max() == n * (n + 1) // 2
+    assert poly.coefficient(n * (n + 1) // 2) == (-1) ** n
 
 
 def test_qbinomial_4_2():

@@ -1,15 +1,21 @@
 """Supernomial coefficients, the second-difference matrix, site vectors."""
 
+from fractions import Fraction
+
 import pytest
 
+from qchar.characters import supernomial_char_poly
+from qchar.fusion import dims_via_supernomial
 from qchar.laurent import BiLaurent
 from qchar.qbinom import qbinomial
 from qchar.supernomial import (
     SiteVector,
+    _residue_class,
     multiplicities,
     second_diff_matrix,
     supernomial,
     supernomial_at1,
+    supernomial_lattice_side,
 )
 
 from oracles import product_gf_coeff, widths_from_multiplicities
@@ -112,3 +118,40 @@ def test_supernomial_support_and_positivity():
                 assert poly == BiLaurent.zero()
             else:
                 assert all(c > 0 for _, _, c in poly.terms())
+
+
+def test_residue_class_sums_match_wide_brute_sums():
+    # a runs far past the support on both sides; the residue-class sums must
+    # visit exactly the arguments in [0, sum_j j*L_j] and lose no term
+    wide = range(-12, 13)
+    saw_negative_minus = saw_past_top = False
+    for p in (2, 3, 4):
+        for total in range(4):
+            for levels in itertools.combinations_with_replacement(
+                range(total + 1), p - 1
+            ):
+                mult = multiplicities(SiteVector(p, total, 0, levels))
+                if any(v < 0 for v in mult):
+                    continue
+                top = sum((i + 1) * v for i, v in enumerate(mult))
+                for minus in range(-p - 2, top + 2):
+                    site = SiteVector(p, total - minus, minus, levels)
+                    for r in range(p):
+                        c = minus + r
+                        saw_negative_minus |= minus < 0
+                        saw_past_top |= c > top
+                        args = [(a, p * a + c) for a in wide
+                                if 0 <= p * a + c <= top]
+                        assert list(_residue_class(p, mult, c)) == args
+                        lattice = BiLaurent.zero()
+                        char = BiLaurent.zero()
+                        dims = 0
+                        for a in wide:
+                            piece = supernomial(mult, p * a + c)
+                            lattice += piece.shift(Fraction(p * a * a, 2), a)
+                            char += piece.shift(p * (a * a + a) // 2 - (r + 1) * a, a)
+                            dims += supernomial_at1(mult, p * a + c)
+                        assert supernomial_lattice_side(p, mult, c) == lattice
+                        assert supernomial_char_poly(p, r, mult, minus) == char
+                        assert dims_via_supernomial(site, r) == dims
+    assert saw_negative_minus and saw_past_top
