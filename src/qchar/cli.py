@@ -7,7 +7,8 @@ Output is deterministic: identical invocations produce byte-identical
 stdout (timings go only into the report file, never to stdout), and
 parallel sweeps merge results in case order.
 
-Exit codes: 0 success, 1 counterexample found, 2 usage / malformed input.
+Exit codes: 0 success, 1 counterexample found, 2 usage / malformed input,
+3 internal error (one `internal error: <Type>: <message>` line on stderr).
 """
 
 from __future__ import annotations
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 would read as a counterexample
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,10 +15,18 @@ every nonzero summand, so the sum is an exact Laurent polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import BiLaurent, norm_exp, _qdict_mul, bounded_partition_counts
+from .laurent import (
+    BiLaurent,
+    bounded_partition_counts,
+    norm_exp,
+    _qdict_iadd,
+    _qdict_mul,
+    _qdict_prod,
+)
 from .qbinom import _ext_qdict, ext_min_qexp
 from .supernomial import SiteVector, multiplicities
 
@@ -263,49 +271,46 @@ def lattice_sum(
     """Evaluate the lattice sum over an explicit finite box.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
-    zwin; the truncation is exact (min-exponent bookkeeping guarantees no
-    contribution below the cutoff is lost).  With extended=False the factors
-    are standard Gaussian binomials, so negative bottoms vanish.
+    zwin.  The truncation is exact: each summand's factor product is cut at
+    qmax only once it is complete, and a summand is skipped only when the
+    closed-form lowest exponents of its factors (ext_min_qexp) already put
+    it above qmax.  With extended=False the factors are standard Gaussian
+    binomials, so negative bottoms vanish.
     """
+    # one int-keyed qdict per (z-degree, fractional part of the q-exponent)
     acc: dict = {}
     for n, zdeg, exponent, tops in _summands(data, nvec, box, budget, extended):
         if zwin is not None and abs(zdeg) > zwin:
             continue
-        mins = None
+        cap = None
         if qmax is not None:
-            mins = [ext_min_qexp(t, b) for t, b in zip(tops, n)]
-            if exponent + sum(mins) > qmax:
+            cap = qmax - exponent
+            if sum(ext_min_qexp(t, b) for t, b in zip(tops, n)) > cap:
                 continue
-        prod = {0: 1}
-        for a, (t, b) in enumerate(zip(tops, n)):
-            cap = None
-            if qmax is not None:
-                cap = qmax - exponent - sum(mins[a + 1 :])
-            prod = _qdict_mul(prod, _ext_qdict(t, b), cap)
-            if not prod:
-                break
-        for e, c in prod.items():
-            k = (norm_exp(exponent + e), zdeg)
-            val = acc.get(k, 0) + c
-            if val:
-                acc[k] = val
-            elif k in acc:
-                del acc[k]
-    return BiLaurent._raw(acc)
+        prod = _qdict_prod([_ext_qdict(t, b) for t, b in zip(tops, n)], cap)
+        if prod:
+            base = math.floor(exponent)
+            key = (zdeg, exponent - base)
+            part = acc.get(key)
+            if part is None:
+                part = acc[key] = {}
+            _qdict_iadd(part, prod, base)
+    return BiLaurent._raw(
+        {
+            (e + frac, zdeg): c  # frac is 0 or not an integer
+            for (zdeg, frac), part in acc.items()
+            for e, c in part.items()
+        }
+    )
 
 
 def lattice_support(data: QuadraticData, nvec, box, *, extended=True, budget=None):
     """Vectors in the box whose summand is not identically zero."""
-    out = []
-    for n, _, exponent, tops in _summands(data, nvec, box, budget, extended):
-        prod = {0: 1}
-        for t, b in zip(tops, n):
-            prod = _qdict_mul(prod, _ext_qdict(t, b))
-            if not prod:
-                break
-        if prod:
-            out.append(n)
-    return out
+    return [
+        n
+        for n, _, _, tops in _summands(data, nvec, box, budget, extended)
+        if _qdict_prod([_ext_qdict(t, b) for t, b in zip(tops, n)])
+    ]
 
 
 def fermionic_sum(site: SiteVector, w=None, *, qmax=None, zwin=None) -> BiLaurent:

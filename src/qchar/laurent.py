@@ -15,11 +15,24 @@ share between threads or worker processes.
 
 Coefficients are arbitrary-precision Python ints throughout; nothing is
 ever rounded or reduced modulo anything.
+
+The hot loops of the lattice and supernomial sums work on raw z-free
+{q_exp: coefficient} dicts with int exponents instead (`_qdict_*`).  Their
+products take one of two exact kernels, chosen by size.  Small ones use the
+schoolbook double loop.  From _KRONECKER_MIN coefficient products on, they
+use Kronecker substitution (Harvey, arXiv:0712.4046): each factor's dense
+coefficient list is packed into one big int at a common byte width w, the
+ints are multiplied, and the product is unpacked once.  The product of the
+factors' absolute coefficient sums bounds every output coefficient; w keeps
+that bound below 2^(8w-1), so every coefficient reads back exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
@@ -380,13 +393,27 @@ def partition_series(max_deg: int) -> BiLaurent:
 
 
 # -- internal helpers for hot loops -------------------------------------------
-# Raw {q_exp: coefficient} dicts avoid tuple keys inside the lattice sums.
+# Raw {q_exp: coefficient} dicts with int exponents avoid tuple keys inside
+# the lattice sums.  A product of int-keyed dicts is int-keyed and stores no
+# zero value, so two results compare equal exactly when the polynomials do.
+
+# Below this many coefficient products (the product of the factors' term
+# counts) a schoolbook loop beats packing into big ints.  Measured with
+# CPython 3.11.7 on a 2-vCPU x86-64 VM, for two Gaussian binomials: 117
+# products took 23 us schoolbook and 29 us Kronecker, 374 products 69 us and
+# 34 us.
+_KRONECKER_MIN = 128
+
+_NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _qdict_mul(a: dict, b: dict, cap=None) -> dict:
-    """Product of two q-exponent dicts, optionally dropping exponents > cap."""
+    """Product of two q-exponent dicts, optionally dropping exponents > cap.
+    Products of at least _KRONECKER_MIN coefficient pairs go to _qdict_prod."""
     if not a or not b:
         return {}
+    if len(a) * len(b) >= _KRONECKER_MIN:
+        return _qdict_prod((a, b), cap)
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -412,6 +439,110 @@ def _qdict_mul(a: dict, b: dict, cap=None) -> dict:
                 elif k in out:
                     del out[k]
     return out
+
+
+def _qdict_prod(factors, cap=None) -> dict:
+    """Product of q-exponent dicts, optionally dropping exponents > cap (an
+    int or a Fraction).
+
+    Large products use Kronecker substitution: each factor's dense
+    coefficient list, evaluated at q = 2^(8w), is one Python int, and the
+    interpreter multiplies those ints with Karatsuba.  The product of the
+    factors' absolute coefficient sums bounds every output coefficient, and
+    w is the least byte width that keeps this bound below 2^(8w-1).  So
+    every digit of the product int lies in (-2^(8w-1), 2^(8w-1)); adding
+    2^(8w-1) to each digit, through one constant offset int, makes every
+    digit nonnegative without a carry, and the coefficients read back
+    exactly.
+    """
+    if math.prod(map(len, factors)) < _KRONECKER_MIN:
+        # The fold has fewer terms than that at every step, so each
+        # _qdict_mul call takes its schoolbook loop.  The cap applies last,
+        # because a later factor may have negative exponents.
+        prod = {0: 1}
+        for f in factors:
+            prod = _qdict_mul(prod, f)
+        return prod if cap is None else {e: c for e, c in prod.items() if e <= cap}
+    lo = 0
+    dense = []
+    for f in factors:
+        flo, vals = _dense(f)
+        lo += flo
+        dense.append(vals)
+    size = 1 + sum(len(vals) - 1 for vals in dense)  # digits of the product
+    count = size if cap is None else min(size, math.floor(cap) - lo + 1)
+    if count <= 0:
+        return {}
+    if count < size:  # the low digits of a product need only those of the factors
+        dense = [vals[:count] for vals in dense]
+        size = 1 + sum(len(vals) - 1 for vals in dense)
+    bound = math.prod(sum(map(abs, vals)) for vals in dense)
+    width = (bound.bit_length() + 8) // 8
+    value = 1
+    for vals in dense:
+        value *= _pack_signed(vals, width)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    buf = (value + offset).to_bytes(width * size, "little")
+    return {
+        lo + k: c - half
+        for k, c in enumerate(_unpack(buf, width, count))
+        if c != half
+    }
+
+
+def _dense(d: dict) -> tuple[int, list]:
+    """(lowest exponent, dense coefficient list) of a nonempty qdict."""
+    keys = list(d)
+    lo = keys[0]
+    if keys == list(range(lo, lo + len(keys))):  # ascending without gaps
+        return lo, list(d.values())
+    lo = min(keys)
+    vals = [0] * (max(keys) - lo + 1)
+    for e, c in d.items():
+        vals[e - lo] = c
+    return lo, vals
+
+
+def _pack_signed(vals: list, width: int) -> int:
+    """sum vals[k] * 2^(8*width*k) for |vals[k]| < 2^(8*width-1)."""
+    if min(vals) >= 0:
+        return _pack(vals, width)
+    return _pack([max(c, 0) for c in vals], width) - _pack(
+        [max(-c, 0) for c in vals], width
+    )
+
+
+def _pack(vals: list, width: int) -> int:
+    """sum vals[k] * 2^(8*width*k) for 0 <= vals[k] < 2^(8*width)."""
+    if max(vals) >> 64:
+        return int.from_bytes(
+            b"".join(c.to_bytes(width, "little") for c in vals), "little"
+        )
+    words = array("Q", vals)
+    if _NATIVE_BIG_ENDIAN:
+        words.byteswap()
+    src = words.tobytes()
+    buf = bytearray(width * len(vals))
+    for j in range(min(width, 8)):  # byte j of every 8-byte word
+        buf[j::width] = src[j::8]
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(buf: bytes, width: int, count: int):
+    """The first `count` little-endian digits of `width` bytes in buf."""
+    if width > 8:
+        return [
+            int.from_bytes(buf[i : i + width], "little")
+            for i in range(0, width * count, width)
+        ]
+    wide = bytearray(8 * count)
+    for j in range(width):
+        wide[j::8] = buf[j : width * count : width]
+    words = array("Q", wide)
+    if _NATIVE_BIG_ENDIAN:
+        words.byteswap()
+    return words
 
 
 def _qdict_iadd(acc: dict, d: dict, shift) -> None:

@@ -16,6 +16,9 @@ concurrent use (threads or forked workers) is safe.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import sub
+
 from .laurent import BiLaurent
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
@@ -45,18 +48,46 @@ def qpochhammer(n: int) -> BiLaurent:
 def qbinomial(n: int, m: int) -> BiLaurent:
     """Gaussian binomial coefficient; zero unless n >= m >= 0.
 
-    Computed as the exact quotient (q)_n / ((q)_{n-m} (q)_m); the division
-    routine verifies that no remainder is left, which doubles as a self-test.
+    Computed on a dense coefficient list by the product formula
+
+        [n choose m] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i),  k = min(m, n-m),
+
+    dividing after each multiplication, so that the running product is
+    always the polynomial [n-k+i choose i].  Each division is a running sum
+    with stride i that verifies that no remainder is left, which doubles as
+    a self-test.
     """
     if not (n >= m >= 0):
         return BiLaurent.zero()
     key = (n, m)
     poly = _QBIN.get(key)
     if poly is None:
-        den = qpochhammer(n - m) * qpochhammer(m)
-        poly = qpochhammer(n).divide_exact(den)
+        k = min(m, n - m)
+        coeffs = [1]
+        for i in range(1, k + 1):
+            s = n - k + i
+            coeffs = list(map(sub, coeffs + [0] * s, [0] * s + coeffs))
+            coeffs = _divide_one_minus_q_power(coeffs, i)
+        poly = BiLaurent._raw({(j, 0): c for j, c in enumerate(coeffs) if c})
         _QBIN[key] = poly
     return poly
+
+
+def _divide_one_minus_q_power(coeffs: list, i: int) -> list:
+    """Exact quotient of the dense polynomial `coeffs` by 1 - q^i.
+
+    The quotient's coefficient at j is coeffs[j] + quotient[j - i], a running
+    sum along each residue class mod i.  The division leaves no remainder
+    exactly when that sum vanishes at the top i positions; otherwise it
+    raises ArithmeticError.
+    """
+    quot = coeffs[:]
+    for r in range(i):
+        quot[r::i] = accumulate(coeffs[r::i])
+    cut = max(len(quot) - i, 0)
+    if any(quot[cut:]):
+        raise ArithmeticError(f"not divisible by 1 - q^{i}")
+    return quot[:cut]
 
 
 def qbinomial_ext(n: int, m: int) -> BiLaurent:
@@ -109,6 +140,7 @@ def _ext_qdict(n: int, m: int) -> dict:
     key = (n, m)
     d = _EXT_QDICT.get(key)
     if d is None:
-        d = {q: c for (q, _), c in qbinomial_ext(n, m)._terms.items()}
+        # ascending exponents let _qdict_prod read the coefficients densely
+        d = dict(sorted((q, c) for (q, _), c in qbinomial_ext(n, m)._terms.items()))
         _EXT_QDICT[key] = d
     return d

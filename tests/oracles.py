@@ -111,3 +111,13 @@ def brute_root_of_unity_dims(p: int, pairs) -> tuple[int, ...]:
 def monotone_levels(d: int, top: int):
     """Weakly increasing level tuples of length d with values in [0, top]."""
     return itertools.combinations_with_replacement(range(top + 1), d)
+
+
+def poly_mul_brute(a: dict, b: dict) -> dict:
+    """Product of two {exponent: coefficient} dicts by the nested loop over
+    all term pairs, with zero coefficients dropped."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}

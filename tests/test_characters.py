@@ -157,6 +157,18 @@ def test_stabilization_to_rep_character():
                 assert value.truncated(qmax, zwin) == reference
 
 
+def test_fermionic_cutoff_is_truncation_at_half_integer_exponents():
+    # at p = 3 the exponent shift p/2 - r - 1 is a half-integer, so the
+    # per-leaf caps are half-integers too; at this site some leaf products
+    # are large enough for the Kronecker kernel
+    site = SiteVector(3, 10, 10, (10, 16))
+    for r in range(3):
+        full = coinv_char_fermionic(r, site).poly
+        for qmax in (0, 7, Fraction(25, 2), 20, Fraction(61, 2), 60):
+            cut = coinv_char_fermionic(r, site, qmax=qmax).poly
+            assert cut == full.truncate_q(qmax)
+
+
 def test_lattice_character_delegates():
     data = QuadraticData(coupling_matrix(2, 0), (1, -1))
     site_comps = (2, 1)

@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+import qchar.cli
 import qchar.verify as verify
 from qchar.cli import main
 from qchar.laurent import BiLaurent
@@ -193,6 +194,30 @@ def test_corrupted_engine_is_caught(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "knuth", "--range", "3")
     assert code == 1
     assert "counterexample" in out
+
+
+def test_internal_error_in_compute_exits_3(capsys, monkeypatch):
+    def broken(n, m):
+        raise ArithmeticError("not divisible by 1 - q^2")
+
+    monkeypatch.setattr(qchar.cli, "qbinomial", broken)
+    code, out, err = run_cli(capsys, "compute", "qbin", "--n", "4", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ArithmeticError: not divisible by 1 - q^2\n"
+
+
+def test_internal_error_in_verify_checker_exits_3(capsys, monkeypatch):
+    cases, _, defaults = verify._REGISTRY["knuth"]
+
+    def broken(case):
+        raise RuntimeError("shell pruning did not certify the cutoff")
+
+    monkeypatch.setitem(verify._REGISTRY, "knuth", (cases, broken, defaults))
+    code, _, err = run_cli(capsys, "verify", "knuth", "--range", "2")
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("internal error: RuntimeError: ")
 
 
 def test_verify_unknown_identity_exits_2(capsys):

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from qchar.laurent import (
     BiLaurent,
+    _KRONECKER_MIN,
+    _qdict_mul,
+    _qdict_prod,
     bounded_partition_counts,
     partition_series,
 )
 from qchar.qbinom import qpochhammer
 
-from oracles import partitions_upto
+from oracles import partitions_upto, poly_mul_brute
 
 HALF = Fraction(1, 2)
 
@@ -231,3 +234,88 @@ def test_cyclotomic_is_ring_homomorphism(a, b, p):
         for k in range(p)
     )
     assert (a * b).cyclotomic(p) == brute
+
+
+# -- qdict product kernels (property-based) ------------------------------------------
+
+
+@st.composite
+def qdicts(draw, max_terms=40):
+    """Int-keyed coefficient dicts: an ascending run without gaps or scattered
+    exponents, all positive, all negative or mixed signs, and magnitudes
+    small, near 2^64 or up to 2^200."""
+    size = draw(st.integers(0, max_terms))
+    if draw(st.booleans()):
+        start = draw(st.integers(-30, 30))
+        exps = list(range(start, start + size))
+    else:
+        exps = draw(st.lists(st.integers(-40, 60), min_size=size,
+                             max_size=size, unique=True))
+    top = draw(st.sampled_from((9, 1 << 64, 1 << 200)))
+    sign = draw(st.sampled_from((1, -1, None)))
+    return {
+        e: draw(st.integers(1, top)) * (sign or draw(st.sampled_from((1, -1))))
+        for e in exps
+    }
+
+
+def _cap_for(draw, product):
+    """None, an int or a half-integer around the product's exponents, or a
+    cap below its lowest exponent."""
+    lo, hi = min(product, default=0), max(product, default=0)
+    kind = draw(st.sampled_from(("none", "int", "half", "below")))
+    if kind == "none":
+        return None
+    if kind == "below":
+        return lo - draw(st.integers(1, 3))
+    cap = draw(st.integers(lo - 2, hi + 2))
+    return cap if kind == "int" else Fraction(2 * cap + 1, 2)
+
+
+def _capped(d, cap):
+    return d if cap is None else {e: c for e, c in d.items() if e <= cap}
+
+
+def _assert_canonical(d):
+    assert all(type(e) is int and c for e, c in d.items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(qdicts(), qdicts(), st.data())
+def test_qdict_mul_matches_brute(a, b, data):
+    product = poly_mul_brute(a, b)
+    cap = _cap_for(data.draw, product)
+    result = _qdict_mul(a, b, cap)
+    _assert_canonical(result)
+    assert result == _capped(product, cap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(qdicts(max_terms=12), min_size=1, max_size=5), st.data())
+def test_qdict_prod_matches_brute(factors, data):
+    product = {0: 1}
+    for f in factors:
+        product = poly_mul_brute(product, f)
+    cap = _cap_for(data.draw, product)
+    result = _qdict_prod(factors, cap)
+    _assert_canonical(result)
+    assert result == _capped(product, cap)
+
+
+@pytest.mark.parametrize(
+    "terms", [3, _KRONECKER_MIN // 2 - 1, _KRONECKER_MIN // 2, 2 * _KRONECKER_MIN]
+)
+def test_qdict_products_cancel(terms):
+    # (1 + q + ... + q^(terms-1)) (1 - q) = 1 - q^terms, with 2 * terms
+    # coefficient products on both sides of the dispatch constant; every
+    # middle coefficient cancels
+    geometric = dict.fromkeys(range(terms), 1)
+    for kernel in (_qdict_mul, lambda a, b, cap=None: _qdict_prod((a, b), cap)):
+        assert kernel(geometric, {0: 1, 1: -1}) == {0: 1, terms: -1}
+        assert kernel(geometric, {0: 1, 1: -1}, Fraction(2 * terms - 1, 2)) == {0: 1}
+        assert kernel(geometric, {0: 1, 1: -1}, -1) == {}
+        assert kernel(geometric, {}) == {}
+    # three factors, with the cancellation in the first two
+    assert _qdict_prod([geometric, {0: 1, 1: -1}, {0: 1, 1: 1}]) == {
+        0: 1, 1: 1, terms: -1, terms + 1: -1
+    }

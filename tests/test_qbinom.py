@@ -1,5 +1,6 @@
 """q-Pochhammer, Gaussian binomials, and the extended coefficients."""
 
+import math
 import sys
 
 import pytest
@@ -64,9 +65,28 @@ def test_qbinomial_bottom_zero():
 
 
 def test_qbinomial_against_box_partitions():
-    for n in range(0, 9):
+    for n in range(0, 13):
         for m in range(0, n + 1):
             assert qbinomial(n, m).qdict() == gaussian_binomial_by_boxes(n, m)
+
+
+def test_qbinomial_200_100_shape():
+    poly = qbinomial(200, 100)
+    assert (poly.q_min(), poly.q_max()) == (0, 10000)
+    coeffs = [poly.coefficient(j) for j in range(10001)]
+    assert sum(coeffs) == math.comb(200, 100)
+    assert coeffs == coeffs[::-1]
+    middle = len(coeffs) // 2
+    assert all(x <= y for x, y in zip(coeffs[:middle], coeffs[1 : middle + 1]))
+
+
+def test_divide_one_minus_q_power():
+    # (1 - q^2)(1 + 3q - q^3) = 1 + 3q - q^2 - 4q^3 + q^5
+    assert qbinom._divide_one_minus_q_power([1, 3, -1, -4, 0, 1], 2) == [1, 3, 0, -1]
+    with pytest.raises(ArithmeticError):
+        qbinom._divide_one_minus_q_power([1, 1], 2)  # (1 + q) / (1 - q^2)
+    with pytest.raises(ArithmeticError):
+        qbinom._divide_one_minus_q_power([1, 0, -1, 1], 2)
 
 
 def test_ext_agrees_with_gaussian_for_nonnegative_top():
