@@ -22,7 +22,6 @@ from .fermionic import (
     lattice_sum,
     standard_flow_vector,
     support_box,
-    _budget,
 )
 from .supernomial import SiteVector, multiplicities, supernomial_lattice_side
 
@@ -151,14 +150,8 @@ def coinv_char_fermionic(
     if d > p - 1:
         raise ValueError("fermionic character route needs d <= p-1")
     data = QuadraticData.for_site(p, d, r)
-    box = support_box(site, data.w)
     poly = lattice_sum(
-        data,
-        site.components(),
-        box,
-        qmax=qmax,
-        zwin=zwin,
-        budget=_budget(site, data.w),
+        data, site.components(), support_box(site, data.w), qmax=qmax, zwin=zwin
     )
     q_shift, z_shift = _prefactor(p, r)
     return CharacterValue(q_shift, z_shift, poly)
@@ -234,7 +227,6 @@ def lattice_character(
         if qmax is None or zwin is None:
             raise ValueError("unbounded variant needs qmax and zwin")
         return gordon_series(p, d, int(r), qmax, zwin)
-    budget = None
     if box is None:
         fam = _detect_family(data)
         if fam is None:
@@ -242,5 +234,4 @@ def lattice_character(
         p, _ = fam
         site = SiteVector(p, nvec[0], nvec[1], tuple(nvec[2:]))
         box = support_box(site, data.w)
-        budget = _budget(site, data.w)
-    return lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin, budget=budget)
+    return lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)

@@ -8,6 +8,17 @@ The central object is
             z^(u.n) q^(n A n / 2 + v.n) *
             prod_a qbinomial_ext(e_a.(N + w + n - nA), e_a.n)
 
+Support rule.  A factor X(t_a, n_a) vanishes unless n_a <= t_a, for both
+signs of n_a and both binomial kinds, and t_a = N_a + w_a + n_a - (nA)_a.
+So every nonzero summand satisfies the row inequalities
+
+    (nA)_a <= N_a + w_a    for every a,
+
+and _leaves enumerates exactly the n in the box that satisfy them.  What
+remains is the sign rule: a factor with n_a < 0 <= t_a vanishes, as does
+any factor with n_a < 0 for standard binomials.  Every other factor is
+nonzero.
+
 For the coupling matrix of a SiteVector whose multiplicity vector is
 nonnegative, support_box computes a finite box that provably contains
 every nonzero summand, so the sum is an exact Laurent polynomial.
@@ -141,8 +152,9 @@ def support_box(site: SiteVector, w=None) -> list[tuple[int, int]]:
     (raises NonFiniteSupportError otherwise).  Level coordinates are bounded
     below by 0; the sign coordinates by min(0, floor(C) + 1) with
     C = (2*N_eff - N_eff[d-1]) / (2p - d - 2); upper bounds come from the
-    budget inequality (d+1)(n_+ + n_-) + sum_i 2(i+1) n_i <= N_+ + N_- with
-    the opposite sign coordinate at its worst-case lower bound.
+    sum of the two sign rows of the support rule,
+    (d+1)(n_+ + n_-) + sum_i 2(i+1) n_i <= N_+ + N_-, with the opposite sign
+    coordinate at its worst-case lower bound.
     """
     p, d = site.p, site.d
     eff = site if w is None else site.shifted_by(w)
@@ -171,91 +183,78 @@ def support_box(site: SiteVector, w=None) -> list[tuple[int, int]]:
     return box
 
 
-def _budget(site: SiteVector, w=None) -> tuple[tuple[int, ...], int]:
-    """The linear inequality sum_b coeffs[b]*n_b <= limit satisfied by every
-    nonzero summand (the two sign rows of the coupling matrix added)."""
-    eff = site if w is None else site.shifted_by(w)
-    d = site.d
-    coeffs = (d + 1, d + 1) + tuple(2 * (i + 1) for i in range(d))
-    return coeffs, eff.plus + eff.minus
+def _leaves(box, rows, eff):
+    """Yield (n, nA) for the n in the box that satisfy every row inequality
+    (nA)_a <= eff_a; nA is maintained incrementally.
 
-
-def _leaves(box, rows, budget):
-    """Yield (n, nA) for n in the box, pruned by the optional budget
-    constraint; nA is maintained incrementally."""
+    At each coordinate the range is cut by every row, with the later
+    coordinates at their least contribution over the box, so each leaf
+    satisfies all the rows exactly.
+    """
     m = len(box)
-    if budget is not None:
-        coeffs, limit = budget
-        suffmin = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            lo, hi = box[i]
-            c = coeffs[i]
-            suffmin[i] = suffmin[i + 1] + min(c * lo, c * hi)
+    # tail[i][a]: least value of sum_{b >= i} n_b A[b][a] over the box
+    tail = [[0] * m for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        lo, hi = box[i]
+        tail[i] = [t + min(c * lo, c * hi) for t, c in zip(tail[i + 1], rows[i])]
     n = [0] * m
     s = [0] * m
 
-    def rec(idx, used):
+    def rec(idx):
         if idx == m:
             yield tuple(n), tuple(s)
             return
         lo, hi = box[idx]
         row = rows[idx]
-        if budget is not None:
-            c = coeffs[idx]
-            tail = suffmin[idx + 1]
+        rest = tail[idx + 1]
+        for a in range(m):
+            c = row[a]
+            room = eff[a] - s[a] - rest[a]
+            if c > 0:
+                hi = min(hi, room // c)
+            elif c < 0:
+                lo = max(lo, -(room // -c))
+            elif room < 0:
+                return
         for v in range(lo, hi + 1):
-            if budget is not None:
-                part = used + c * v
-                if part + tail > limit:
-                    if c > 0:
-                        break
-                    continue
-            else:
-                part = 0
             n[idx] = v
             if v:
                 for j in range(m):
                     s[j] += v * row[j]
-            yield from rec(idx + 1, part)
+            yield from rec(idx + 1)
             if v:
                 for j in range(m):
                     s[j] -= v * row[j]
         n[idx] = 0
 
-    yield from rec(0, 0)
+    yield from rec(0)
 
 
-def _summands(data: QuadraticData, nvec, box, budget=None, extended=True):
-    """Yield (n, zdeg, exponent, tops) over nonzero candidate summands.
+def _summands(data: QuadraticData, nvec, box, extended=True):
+    """Yield (n, zdeg, exponent, tops) over the nonzero summands in the box.
 
-    The tops are e_a.(N + w + n - nA); candidates whose extended binomial
-    factors vanish by the support rules (top < bottom, or bottom < 0 <= top)
-    are skipped here.  With extended=False, bottoms must be nonnegative.
+    The tops are e_a.(N + w + n - nA).  _leaves applies the support rule, so
+    only the sign rule is left here: a factor with bottom < 0 <= top
+    vanishes.  With extended=False the box is clamped to n >= 0 first.
     """
     m = data.size
     nvec = tuple(nvec)
     if len(nvec) != m:
         raise ValueError("site vector length must match the matrix size")
     eff = tuple(nvec[a] + data.w[a] for a in range(m))
+    if not extended:
+        box = [(max(lo, 0), hi) for lo, hi in box]
     u, v = data.u, data.v
-    for n, s in _leaves(box, data.matrix, budget):
-        tops = []
-        ok = True
-        for a in range(m):
-            na = n[a]
-            t = eff[a] + na - s[a]
-            if t < na or (na < 0 and (t >= 0 or not extended)):
-                ok = False
-                break
-            tops.append(t)
-        if not ok:
+    for n, s in _leaves(box, data.matrix, eff):
+        tops = tuple(eff[a] + n[a] - s[a] for a in range(m))
+        if any(na < 0 <= t for na, t in zip(n, tops)):
             continue
         dot = sum(n[a] * s[a] for a in range(m))
-        exponent = Fraction(dot, 2) + sum(
-            v[a] * n[a] for a in range(m) if n[a] and v[a]
+        exponent = norm_exp(
+            Fraction(dot, 2) + sum(v[a] * n[a] for a in range(m) if n[a] and v[a])
         )
         zdeg = sum(u[a] * n[a] for a in range(m))
-        yield n, zdeg, norm_exp(Fraction(exponent)), tuple(tops)
+        yield n, zdeg, exponent, tops
 
 
 def lattice_sum(
@@ -266,7 +265,6 @@ def lattice_sum(
     qmax=None,
     zwin=None,
     extended: bool = True,
-    budget=None,
 ) -> BiLaurent:
     """Evaluate the lattice sum over an explicit finite box.
 
@@ -275,11 +273,12 @@ def lattice_sum(
     qmax only once it is complete, and a summand is skipped only when the
     closed-form lowest exponents of its factors (ext_min_qexp) already put
     it above qmax.  With extended=False the factors are standard Gaussian
-    binomials, so negative bottoms vanish.
+    binomials, so negative bottoms vanish.  Only the summands that the
+    support and sign rules leave are ever multiplied out.
     """
     # one int-keyed qdict per (z-degree, fractional part of the q-exponent)
     acc: dict = {}
-    for n, zdeg, exponent, tops in _summands(data, nvec, box, budget, extended):
+    for n, zdeg, exponent, tops in _summands(data, nvec, box, extended):
         if zwin is not None and abs(zdeg) > zwin:
             continue
         cap = None
@@ -304,13 +303,13 @@ def lattice_sum(
     )
 
 
-def lattice_support(data: QuadraticData, nvec, box, *, extended=True, budget=None):
-    """Vectors in the box whose summand is not identically zero."""
-    return [
-        n
-        for n, _, _, tops in _summands(data, nvec, box, budget, extended)
-        if _qdict_prod([_ext_qdict(t, b) for t, b in zip(tops, n)])
-    ]
+def lattice_support(data: QuadraticData, nvec, box, *, extended=True):
+    """Vectors in the box whose summand is not identically zero.
+
+    These are the vectors the support and sign rules leave: each of their
+    factors is nonzero, and Z[q, 1/q] has no zero divisors.
+    """
+    return [n for n, *_ in _summands(data, nvec, box, extended)]
 
 
 def fermionic_sum(site: SiteVector, w=None, *, qmax=None, zwin=None) -> BiLaurent:
@@ -322,14 +321,8 @@ def fermionic_sum(site: SiteVector, w=None, *, qmax=None, zwin=None) -> BiLauren
     size = d + 2
     w = tuple(w) if w is not None else (0,) * size
     data = QuadraticData(coupling_matrix(p, d), standard_flow_vector(size), (), w)
-    box = support_box(site, w)
     return lattice_sum(
-        data,
-        site.components(),
-        box,
-        qmax=qmax,
-        zwin=zwin,
-        budget=_budget(site, w),
+        data, site.components(), support_box(site, w), qmax=qmax, zwin=zwin
     )
 
 

@@ -103,14 +103,15 @@ class SiteVector:
 def multiplicities(site: SiteVector) -> tuple[int, ...]:
     """The multiplicity vector L = profile * T of length d+1.
 
-    L_j is a second difference of the profile, with a first-difference last
-    entry; elementary sites of width i have L = e_i.
+    L_j = 2P_j - P_{j-1} - P_{j+1} is a second difference of the profile P
+    (with P_{-1} = 0), and the last entry is the first difference
+    P_last - P_{last-1}; elementary sites of width i have L = e_i.
     """
-    prof = site.profile()
-    t = second_diff_matrix(len(prof))
+    prof = (0,) + site.profile()
+    last = len(prof) - 1
     return tuple(
-        sum(prof[i] * t[i][j] for i in range(len(prof))) for j in range(len(prof))
-    )
+        2 * prof[j] - prof[j - 1] - prof[j + 1] for j in range(1, last)
+    ) + (prof[last] - prof[last - 1],)
 
 
 # -- supernomials ----------------------------------------------------------

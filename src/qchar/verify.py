@@ -29,6 +29,7 @@ Identity keys:
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,7 +52,6 @@ from .fermionic import (
     lattice_support,
     standard_flow_vector,
     support_box,
-    _budget,
 )
 from .characters import (
     coinv_char_fermionic,
@@ -358,14 +358,13 @@ def _check_ta(case):
         coupling_matrix(p, d), standard_flow_vector(d + 2), (), ()
     )
     box = support_box(site)
-    budget = _budget(site)
     comps = site.components()
-    vectors = lattice_support(data, comps, box, budget=budget)
+    vectors = lattice_support(data, comps, box)
     bad = [list(v) for v in vectors if min(v, default=0) < 0]
     if bad:
         return {"params": params, "lhs": {"negative_support": bad}, "rhs": None}
-    ext = lattice_sum(data, comps, box, budget=budget)
-    std = lattice_sum(data, comps, box, budget=budget, extended=False)
+    ext = lattice_sum(data, comps, box)
+    std = lattice_sum(data, comps, box, extended=False)
     return _compare(params, {"extended": ext, "standard": std},
                     supernomial_lattice_side(p, multiplicities(site), minus))
 
@@ -608,9 +607,11 @@ def run_identity(identity: str, options=None, jobs: int = 1) -> IdentityReport:
         raise ValueError(f"sweep for {identity!r} is empty; widen the ranges")
     start = time.perf_counter()
     failures = []
-    if jobs > 1:
-        chunk = max(1, len(cases) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at once, so never more than can run
+    workers = min(jobs, os.cpu_count() or 1, len(cases))
+    if workers > 1:
+        chunk = max(1, len(cases) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(checker, cases, chunksize=chunk):
                 if result is not None:
                     failures.append(result)

@@ -8,6 +8,7 @@ Gaussian binomials from box-partition counting.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 
@@ -121,3 +122,23 @@ def poly_mul_brute(a: dict, b: dict) -> dict:
         for eb, cb in b.items():
             out[ea + eb] = out.get(ea + eb, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+def lattice_support_brute(matrix, eff, box, extended: bool) -> list[tuple]:
+    """Every n in the box whose lattice summand has no vanishing factor, by
+    a plain scan of the whole box.
+
+    The factor of coordinate a is the binomial with bottom b = n_a and top
+    t = eff_a + n_a - (nA)_a.  It is nonzero exactly when 0 <= b <= t, or,
+    for extended binomials, when b <= t < 0.
+    """
+    columns = list(zip(*matrix))
+    out = []
+    for n in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        for b, e, col in zip(n, eff, columns):
+            t = e + b - sum(map(operator.mul, n, col))
+            if not (0 <= b <= t or (extended and b <= t < 0)):
+                break
+        else:
+            out.append(n)
+    return out

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, reports, mutation."""
 
 import json
+import os
 
 import jsonschema
 import pytest
@@ -218,6 +219,44 @@ def test_internal_error_in_verify_checker_exits_3(capsys, monkeypatch):
     assert code == 3
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("internal error: RuntimeError: ")
+
+
+def test_verify_pool_is_bounded_by_cpus_and_cases(monkeypatch):
+    # a fake executor records the pool size; no real pool is started
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cases, chunksize):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, cases)
+
+    def ok(case):
+        return None
+
+    def pools_for(cpus, ncases):
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setitem(
+            verify._REGISTRY, "knuth", (lambda opts: list(range(ncases)), ok, {})
+        )
+        report = verify.run_identity("knuth", jobs=10**6)
+        assert (report.cases, report.failures) == (ncases, [])
+        return pools
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    assert pools_for(4, 3) == [(3, 1)]  # (max_workers, chunksize)
+    assert pools_for(4, 100) == [(4, 3)]
+    assert pools_for(1, 100) == []  # serial: no pool at all
+    assert pools_for(None, 100) == []
 
 
 def test_verify_unknown_identity_exits_2(capsys):

@@ -42,6 +42,21 @@ def test_second_diff_matrix_rejects_zero():
         second_diff_matrix(0)
 
 
+def test_multiplicities_match_second_diff_matrix():
+    # L = profile * T for every small profile, negative entries included
+    for p in (2, 3):
+        for d in range(2 * p - 2):
+            for levels in itertools.product(range(-1, 3), repeat=d):
+                for plus, minus in ((0, 0), (2, -1), (1, 3)):
+                    site = SiteVector(p, plus, minus, levels)
+                    prof = site.profile()
+                    t = second_diff_matrix(len(prof))
+                    assert multiplicities(site) == tuple(
+                        sum(prof[i] * t[i][j] for i in range(len(prof)))
+                        for j in range(len(prof))
+                    )
+
+
 def test_multiplicities_no_levels():
     assert multiplicities(SiteVector(2, 3, 1)) == (4,)
 
