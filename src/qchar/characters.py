@@ -18,7 +18,6 @@ from .laurent import BiLaurent, bounded_partition_counts, norm_exp
 from .fermionic import (
     QuadraticData,
     coupling_matrix,
-    gordon_series,
     lattice_sum,
     standard_flow_vector,
     support_box,
@@ -203,30 +202,13 @@ def lattice_character(
     *,
     qmax=None,
     zwin=None,
-    unbounded: bool = False,
 ) -> BiLaurent:
     """Character of the coinvariant space cut out by an arbitrary symmetric
     coupling matrix: delegates to lattice_sum over a finite box (supplied, or
-    certified when the data matches the standard coupling family).
-
-    With unbounded=True the cutoffs are dropped entirely and the Gordon-type
-    series (inverse-Pochhammer weights) is returned instead, truncated at
-    qmax / zwin; the data must then belong to the standard family with
-    v = (p/2 - r - 1)u for some integer 0 <= r < p.
+    certified when the data matches the standard coupling family), truncated
+    at qmax / zwin.  The cutoff-free Gordon-type series of the standard
+    family is gordon_series.
     """
-    if unbounded:
-        fam = _detect_family(data)
-        if fam is None:
-            raise ValueError("unbounded variant needs the standard coupling family")
-        p, d = fam
-        r = Fraction(p, 2) - 1 - Fraction(data.v[0])
-        if r.denominator != 1 or not 0 <= r < p:
-            raise ValueError("exponent shift does not match any integer weight")
-        if data.v != tuple(norm_exp((Fraction(p, 2) - r - 1) * x) for x in data.u):
-            raise ValueError("exponent shift must be proportional to the flow vector")
-        if qmax is None or zwin is None:
-            raise ValueError("unbounded variant needs qmax and zwin")
-        return gordon_series(p, d, int(r), qmax, zwin)
     if box is None:
         fam = _detect_family(data)
         if fam is None:

@@ -26,7 +26,6 @@ every nonzero summand, so the sum is an exact Laurent polynomial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,8 +33,7 @@ from .laurent import (
     BiLaurent,
     bounded_partition_counts,
     norm_exp,
-    _qdict_iadd,
-    _qdict_mul,
+    _half_iadd,
     _qdict_prod,
 )
 from .qbinom import _ext_qdict, ext_min_qexp
@@ -98,8 +96,10 @@ def standard_flow_vector(size: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class QuadraticData:
     """Parameters of a lattice sum: symmetric integer matrix plus the
-    z-grading vector u, the linear exponent shift v (integer or
-    half-integer), and the cutoff shift w."""
+    z-grading vector u, the linear exponent shift v, and the cutoff shift w.
+
+    Every entry of v must lie in (1/2)Z (ValueError otherwise), so that each
+    summand's exponent n A n / 2 + v.n does too."""
 
     matrix: tuple[tuple[int, ...], ...]
     u: tuple[int, ...]
@@ -116,6 +116,8 @@ class QuadraticData:
         object.__setattr__(self, "matrix", m)
         u = tuple(int(x) for x in self.u)
         v = tuple(norm_exp(Fraction(x)) for x in self.v) or (0,) * size
+        if any((2 * x).denominator != 1 for x in v):
+            raise ValueError("exponent shift v must lie in (1/2)Z")
         w = tuple(int(x) for x in self.w) or (0,) * size
         if not (len(u) == len(v) == len(w) == size):
             raise ValueError("vector lengths must match the matrix size")
@@ -231,10 +233,11 @@ def _leaves(box, rows, eff):
 
 
 def _summands(data: QuadraticData, nvec, box, extended=True):
-    """Yield (n, zdeg, exponent, tops) over the nonzero summands in the box.
+    """Yield (n, zdeg, e2, tops) over the nonzero summands in the box.
 
-    The tops are e_a.(N + w + n - nA).  _leaves applies the support rule, so
-    only the sign rule is left here: a factor with bottom < 0 <= top
+    e2 = sum_a n_a ((nA)_a + 2 v_a) is twice the summand's q-exponent, an
+    int.  The tops are e_a.(N + w + n - nA).  _leaves applies the support
+    rule, so only the sign rule is left here: a factor with bottom < 0 <= top
     vanishes.  With extended=False the box is clamped to n >= 0 first.
     """
     m = data.size
@@ -244,17 +247,15 @@ def _summands(data: QuadraticData, nvec, box, extended=True):
     eff = tuple(nvec[a] + data.w[a] for a in range(m))
     if not extended:
         box = [(max(lo, 0), hi) for lo, hi in box]
-    u, v = data.u, data.v
+    u = data.u
+    v2 = tuple(int(2 * x) for x in data.v)
     for n, s in _leaves(box, data.matrix, eff):
         tops = tuple(eff[a] + n[a] - s[a] for a in range(m))
         if any(na < 0 <= t for na, t in zip(n, tops)):
             continue
-        dot = sum(n[a] * s[a] for a in range(m))
-        exponent = norm_exp(
-            Fraction(dot, 2) + sum(v[a] * n[a] for a in range(m) if n[a] and v[a])
-        )
+        e2 = sum(n[a] * (s[a] + v2[a]) for a in range(m))
         zdeg = sum(u[a] * n[a] for a in range(m))
-        yield n, zdeg, exponent, tops
+        yield n, zdeg, e2, tops
 
 
 def lattice_sum(
@@ -276,31 +277,19 @@ def lattice_sum(
     binomials, so negative bottoms vanish.  Only the summands that the
     support and sign rules leave are ever multiplied out.
     """
-    # one int-keyed qdict per (z-degree, fractional part of the q-exponent)
     acc: dict = {}
-    for n, zdeg, exponent, tops in _summands(data, nvec, box, extended):
+    for n, zdeg, e2, tops in _summands(data, nvec, box, extended):
         if zwin is not None and abs(zdeg) > zwin:
             continue
         cap = None
         if qmax is not None:
-            cap = qmax - exponent
+            # an int s has s <= qmax - e2/2 exactly when s <= cap
+            cap = (2 * qmax - e2) // 2
             if sum(ext_min_qexp(t, b) for t, b in zip(tops, n)) > cap:
                 continue
         prod = _qdict_prod([_ext_qdict(t, b) for t, b in zip(tops, n)], cap)
-        if prod:
-            base = math.floor(exponent)
-            key = (zdeg, exponent - base)
-            part = acc.get(key)
-            if part is None:
-                part = acc[key] = {}
-            _qdict_iadd(part, prod, base)
-    return BiLaurent._raw(
-        {
-            (e + frac, zdeg): c  # frac is 0 or not an integer
-            for (zdeg, frac), part in acc.items()
-            for e, c in part.items()
-        }
-    )
+        _half_iadd(acc, zdeg, e2, prod)
+    return BiLaurent._from_halves(acc)
 
 
 def lattice_support(data: QuadraticData, nvec, box, *, extended=True):
@@ -344,7 +333,8 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     data = QuadraticData.for_site(p, d, r)
     m = data.size
     rows = data.matrix
-    u, v = data.u, data.v
+    u = data.u
+    v2 = tuple(int(2 * x) for x in data.v)
     acc: dict = {}
     shell = 0
     clear_shells = 0
@@ -352,35 +342,29 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     while clear_shells < 2:
         if shell > max_shell:
             raise RuntimeError("shell pruning did not certify the cutoff")
-        shell_min = None
+        shell_min = None  # least doubled exponent e2 on the shell
         for n in _shell_vectors(m, shell):
             s = [sum(n[b] * rows[b][a] for b in range(m)) for a in range(m)]
-            dot = sum(n[a] * s[a] for a in range(m))
-            exponent = norm_exp(
-                Fraction(dot, 2) + sum(v[a] * n[a] for a in range(m) if n[a])
-            )
-            if shell_min is None or exponent < shell_min:
-                shell_min = exponent
-            if exponent > qmax:
+            e2 = sum(n[a] * (s[a] + v2[a]) for a in range(m))
+            if shell_min is None or e2 < shell_min:
+                shell_min = e2
+            if e2 > 2 * qmax:
                 continue
             zdeg = sum(u[a] * n[a] for a in range(m))
             if abs(zdeg) > zwin:
                 continue
-            room = qmax - exponent
-            prod = {0: 1}
-            for a in range(m):
-                counts = bounded_partition_counts(n[a], int(room))
-                factor = {j: c for j, c in enumerate(counts) if c}
-                prod = _qdict_mul(prod, factor, room)
-            for e, c in prod.items():
-                k = (norm_exp(exponent + e), zdeg)
-                acc[k] = acc.get(k, 0) + c
-        if shell_min is not None and shell_min > qmax:
+            room = (2 * qmax - e2) // 2
+            factors = [
+                {j: c for j, c in enumerate(bounded_partition_counts(na, room)) if c}
+                for na in n
+            ]
+            _half_iadd(acc, zdeg, e2, _qdict_prod(factors, room))
+        if shell_min is not None and shell_min > 2 * qmax:
             clear_shells += 1
         else:
             clear_shells = 0
         shell += 1
-    return BiLaurent({k: c for k, c in acc.items() if c})
+    return BiLaurent._from_halves(acc)
 
 
 def _shell_vectors(m: int, total: int):

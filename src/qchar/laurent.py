@@ -16,9 +16,13 @@ share between threads or worker processes.
 Coefficients are arbitrary-precision Python ints throughout; nothing is
 ever rounded or reduced modulo anything.
 
-The hot loops of the lattice and supernomial sums work on raw z-free
-{q_exp: coefficient} dicts with int exponents instead (`_qdict_*`).  Their
-products take one of two exact kernels, chosen by size.  Small ones use the
+Inside the engine, every z-free polynomial is a raw {q_exp: coefficient}
+dict with int exponents and no zero value (`_qdict_*`): the binomial table,
+the supernomial sums and every lattice summand use that one form.  A lattice
+summand's own exponent lies in (1/2)Z, so the lattice sums carry it doubled,
+as an int e2, and `_half_iadd` files each product under (z-degree, e2 & 1);
+`BiLaurent._from_halves` builds the result once, at the end.  The products
+take one of two exact kernels, chosen by size.  Small ones use the
 schoolbook double loop.  From _KRONECKER_MIN coefficient products on, they
 use Kronecker substitution (Harvey, arXiv:0712.4046): each factor's dense
 coefficient list is packed into one big int at a common byte width w, the
@@ -112,6 +116,18 @@ class BiLaurent:
     def from_qdict(cls, d: Mapping[Exp, int]) -> "BiLaurent":
         """Build a z-free value from a {q_exp: coefficient} mapping."""
         return cls._raw({(norm_exp(q), 0): c for q, c in d.items() if c})
+
+    @classmethod
+    def _from_halves(cls, acc: dict) -> "BiLaurent":
+        """The value accumulated by _half_iadd."""
+        half = Fraction(1, 2)
+        return cls._raw(
+            {
+                (e + half if odd else e, zdeg): c
+                for (zdeg, odd), part in acc.items()
+                for e, c in part.items()
+            }
+        )
 
     # -- basics ------------------------------------------------------------
 
@@ -407,37 +423,25 @@ _KRONECKER_MIN = 128
 _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _qdict_mul(a: dict, b: dict, cap=None) -> dict:
-    """Product of two q-exponent dicts, optionally dropping exponents > cap.
-    Products of at least _KRONECKER_MIN coefficient pairs go to _qdict_prod."""
+def _qdict_mul(a: dict, b: dict) -> dict:
+    """Product of two q-exponent dicts.  Products of at least _KRONECKER_MIN
+    coefficient pairs go to _qdict_prod."""
     if not a or not b:
         return {}
     if len(a) * len(b) >= _KRONECKER_MIN:
-        return _qdict_prod((a, b), cap)
+        return _qdict_prod((a, b))
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
     get = out.get
-    if cap is None:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = ea + eb
-                v = get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    else:
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = ea + eb
-                if k > cap:
-                    continue
-                v = get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            k = ea + eb
+            v = get(k, 0) + ca * cb
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
     return out
 
 
@@ -555,3 +559,16 @@ def _qdict_iadd(acc: dict, d: dict, shift) -> None:
             acc[k] = v
         elif k in acc:
             del acc[k]
+
+
+def _half_iadd(acc: dict, zdeg: int, e2: int, d: dict) -> None:
+    """acc += z^zdeg q^(e2/2) * d, in place, for an int e2.
+
+    acc holds one int-keyed qdict per (zdeg, e2 & 1); the exponents of the
+    odd parts are all offset by 1/2, which _from_halves puts back.
+    """
+    key = (zdeg, e2 & 1)
+    part = acc.get(key)
+    if part is None:
+        part = acc[key] = {}
+    _qdict_iadd(part, d, e2 >> 1)

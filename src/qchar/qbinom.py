@@ -10,6 +10,11 @@ unique family satisfying both q-Pascal recurrences
 
 at every integer (n, m), with X(m, m) = 1 and X(n, 0) = 0 for n < 0.
 
+Every binomial, standard or extended, is built once as an int-keyed
+{q_exp: coeff} dict in the one table behind _ext_qdict; the lattice and
+supernomial sums multiply those dicts directly, and qbinomial and
+qbinomial_ext wrap them in a BiLaurent on each call.
+
 All functions are pure; the memo tables are written idempotently, so
 concurrent use (threads or forked workers) is safe.
 """
@@ -24,8 +29,6 @@ from .laurent import BiLaurent
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
 
 _POCH: dict[int, BiLaurent] = {0: BiLaurent.one()}
-_QBIN: dict[tuple[int, int], BiLaurent] = {}
-_EXT: dict[tuple[int, int], BiLaurent] = {}
 _EXT_QDICT: dict[tuple[int, int], dict] = {}
 
 
@@ -46,31 +49,10 @@ def qpochhammer(n: int) -> BiLaurent:
 
 
 def qbinomial(n: int, m: int) -> BiLaurent:
-    """Gaussian binomial coefficient; zero unless n >= m >= 0.
-
-    Computed on a dense coefficient list by the product formula
-
-        [n choose m] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i),  k = min(m, n-m),
-
-    dividing after each multiplication, so that the running product is
-    always the polynomial [n-k+i choose i].  Each division is a running sum
-    with stride i that verifies that no remainder is left, which doubles as
-    a self-test.
-    """
+    """Gaussian binomial coefficient; zero unless n >= m >= 0."""
     if not (n >= m >= 0):
         return BiLaurent.zero()
-    key = (n, m)
-    poly = _QBIN.get(key)
-    if poly is None:
-        k = min(m, n - m)
-        coeffs = [1]
-        for i in range(1, k + 1):
-            s = n - k + i
-            coeffs = list(map(sub, coeffs + [0] * s, [0] * s + coeffs))
-            coeffs = _divide_one_minus_q_power(coeffs, i)
-        poly = BiLaurent._raw({(j, 0): c for j, c in enumerate(coeffs) if c})
-        _QBIN[key] = poly
-    return poly
+    return BiLaurent.from_qdict(_ext_qdict(n, m))
 
 
 def _divide_one_minus_q_power(coeffs: list, i: int) -> list:
@@ -97,27 +79,10 @@ def qbinomial_ext(n: int, m: int) -> BiLaurent:
 
         (-1)^(n-m) q^(-((n-m)^2 + (n-m))/2) * qbinomial(-m-1, -n-1)
 
-    with q replaced by 1/q, realized here by negating the q-exponents of the
-    computed Gaussian binomial.  At q = 1 it specializes to the coefficient
+    with q replaced by 1/q.  At q = 1 it specializes to the coefficient
     of z^(-m) in the expansion of (1 + 1/z)^n around z = 0.
     """
-    if n >= 0:
-        return qbinomial(n, m)
-    key = (n, m)
-    poly = _EXT.get(key)
-    if poly is None:
-        base = qbinomial(-m - 1, -n - 1)
-        if not base:
-            poly = base
-        else:
-            d = n - m  # here m <= n < 0, so d >= 0 and d^2 + d is even
-            shift = -((d * d + d) // 2)
-            sign = -1 if d % 2 else 1
-            poly = BiLaurent._raw(
-                {(shift - q, 0): sign * c for (q, _), c in base._terms.items()}
-            )
-        _EXT[key] = poly
-    return poly
+    return BiLaurent.from_qdict(_ext_qdict(n, m))
 
 
 def ext_min_qexp(n: int, m: int):
@@ -136,11 +101,39 @@ def ext_min_qexp(n: int, m: int):
 
 
 def _ext_qdict(n: int, m: int) -> dict:
-    """Raw {q_exp: coeff} form of qbinomial_ext(n, m), for the lattice sums."""
+    """{q_exp: coeff} form of qbinomial_ext(n, m), with int exponents in
+    ascending order and no zero coefficient; the one binomial memo table.
+
+    For n >= m >= 0 it is the product formula
+
+        [n choose m] = prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i),  k = min(m, n-m),
+
+    on a dense coefficient list, dividing after each multiplication, so that
+    the running product is always the polynomial [n-k+i choose i].  Each
+    division is a running sum with stride i that verifies that no remainder
+    is left, which doubles as a self-test.  Every coefficient of a Gaussian
+    binomial is positive.  For m <= n < 0 it reflects [-m-1 choose -n-1]
+    under q -> 1/q, reading it backwards so the exponents stay ascending.
+    Every other (n, m) gives the zero polynomial.
+    """
     key = (n, m)
     d = _EXT_QDICT.get(key)
     if d is None:
-        # ascending exponents let _qdict_prod read the coefficients densely
-        d = dict(sorted((q, c) for (q, _), c in qbinomial_ext(n, m)._terms.items()))
+        if n >= m >= 0:
+            k = min(m, n - m)
+            coeffs = [1]
+            for i in range(1, k + 1):
+                s = n - k + i
+                coeffs = list(map(sub, coeffs + [0] * s, [0] * s + coeffs))
+                coeffs = _divide_one_minus_q_power(coeffs, i)
+            d = dict(enumerate(coeffs))
+        elif m <= n < 0:
+            diff = n - m  # m <= n, so diff >= 0 and diff^2 + diff is even
+            shift = -((diff * diff + diff) // 2)
+            sign = -1 if diff % 2 else 1
+            base = _ext_qdict(-m - 1, -n - 1)
+            d = {shift - q: sign * c for q, c in reversed(base.items())}
+        else:
+            d = {}
         _EXT_QDICT[key] = d
     return d

@@ -84,10 +84,6 @@ class SiteVector:
         seq = (0,) + self.levels + (self.total,)
         return all(a <= b for a, b in zip(seq, seq[1:]))
 
-    def flowed(self, theta: int) -> "SiteVector":
-        """Shift along the spectral-flow direction (plus + theta, minus - theta)."""
-        return SiteVector(self.p, self.plus + theta, self.minus - theta, self.levels)
-
     def shifted_by(self, vec) -> "SiteVector":
         """Componentwise shift by a vector over (+, -, 0, ..., d-1)."""
         if len(vec) != self.d + 2:
@@ -190,9 +186,7 @@ def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
                 if k > 1:
                     exp = exp + n1 * (suffix[2] - next_n)
                 if weights:
-                    f = _qdict_mul(factors, _ext_qdict(top, n1))
-                    if f:
-                        yield exp, f
+                    yield exp, _qdict_mul(factors, _ext_qdict(top, n1))
                 else:
                     yield 0, factors + ((top, n1),)
             return
@@ -201,8 +195,6 @@ def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
             e2 = exp + (n * (suffix[pos + 1] - next_n) if pos < k else 0)
             if weights:
                 f = _qdict_mul(factors, _ext_qdict(top, n))
-                if not f:
-                    continue
                 yield from rec(pos - 1, remaining - n, n, e2, f)
             else:
                 yield from rec(pos - 1, remaining - n, n, e2, factors + ((top, n),))

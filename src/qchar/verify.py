@@ -178,6 +178,8 @@ def _is_balanced(p, d, plus, minus, levels):
 
 def _cases_pascal(opts):
     w = opts["window"]
+    if w < 0:
+        return []  # the regenerated table of a negative window is empty
     cases = [("id", n, m) for n in range(-w, w + 1) for m in range(-w, w + 1)]
     cases.append(("regen", w))
     return cases

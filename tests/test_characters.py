@@ -201,13 +201,6 @@ def test_gordon_series_equals_rep_character_series():
             assert gordon_series(p, p - 1, r, 5, 2) == expected
 
 
-def test_lattice_character_unbounded_matches_gordon():
-    data = QuadraticData.for_site(2, 0, 0)
-    assert lattice_character(
-        data, (0, 0), unbounded=True, qmax=3, zwin=1
-    ) == gordon_series(2, 0, 0, 3, 1)
-
-
 def test_large_cutoff_matches_gordon_truncation():
     data = QuadraticData(coupling_matrix(2, 0), (1, -1))
     value = lattice_character(data, (10, 10), qmax=4, zwin=4)

@@ -270,6 +270,15 @@ def test_verify_empty_sweep_exits_2(capsys):
     assert "empty" in err
 
 
+@pytest.mark.parametrize("window", ["-1", "-3"])
+def test_verify_pascal_negative_window_exits_2(capsys, window):
+    # a negative window has no binomial to check and an empty regen table
+    code, out, err = run_cli(capsys, "verify", "pascal", "--window", window)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_tb_default_sweep_size(capsys):
     code, out, _ = run_cli(capsys, "verify", "tb", "--p", "2..4", "--nmax", "5")
     assert code == 0

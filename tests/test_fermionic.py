@@ -1,5 +1,7 @@
 """Coupling matrices, support boxes, lattice sums, Gordon series."""
 
+from fractions import Fraction
+
 import pytest
 
 from qchar.laurent import BiLaurent
@@ -59,6 +61,8 @@ def test_quadratic_data_validation():
         QuadraticData(((1, 2), (3, 1)), (1, -1))
     with pytest.raises(ValueError):
         QuadraticData(((2,),), (1, 0))
+    with pytest.raises(ValueError):
+        QuadraticData(((2,),), (1,), (Fraction(1, 3),))
 
 
 def test_support_box_contains_small_square():

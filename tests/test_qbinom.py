@@ -118,8 +118,8 @@ def test_ext_specializes_to_laurent_coefficient():
 
 
 def test_ext_pascal_recurrences_window():
-    for n in range(-6, 7):
-        for m in range(-6, 7):
+    for n in range(-20, 21):
+        for m in range(-20, 21):
             x = qbinomial_ext(n, m)
             first = BiLaurent.term(1, m) * qbinomial_ext(n - 1, m) + qbinomial_ext(
                 n - 1, m - 1
@@ -129,6 +129,18 @@ def test_ext_pascal_recurrences_window():
             ) * qbinomial_ext(n - 1, m - 1)
             assert x == first
             assert x == second
+
+
+def test_ext_qdicts_are_canonical():
+    # int keys in ascending order (so _qdict_prod reads them densely) and no
+    # zero coefficient, for every n, m on the window and their reflections
+    for n in range(-20, 21):
+        for m in range(-20, 21):
+            d = qbinom._ext_qdict(n, m)
+            keys = list(d)
+            assert all(type(e) is int for e in keys)
+            assert keys == sorted(keys)
+            assert all(d.values())
 
 
 def test_ext_min_qexp_matches_polynomials():
