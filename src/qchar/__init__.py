@@ -20,7 +20,7 @@ together (Pascal systems, product refactorings, lattice sum = supernomial
 sum, character route equality, spectral flow, dimension agreement).
 """
 
-from .laurent import BiLaurent, partition_series
+from .laurent import BiLaurent
 from .qbinom import qbinomial, qbinomial_ext, qpochhammer
 from .supernomial import (
     SiteVector,
@@ -84,7 +84,6 @@ __all__ = [
     "lattice_sum",
     "lattice_support",
     "multiplicities",
-    "partition_series",
     "qbinomial",
     "qbinomial_ext",
     "qpochhammer",

@@ -185,9 +185,9 @@ def _cmd_compute(args) -> int:
         _require(args, ("p", "r", "site"))
         site = _parse_site(args.site, args.p)
         if args.route == "fermionic":
-            value = coinv_char_fermionic(args.r, site)
+            value = coinv_char_fermionic(args.r, site, qmax=args.qmax, zwin=args.zwin)
         else:
-            value = coinv_char_supernomial(args.r, site)
+            value = coinv_char_supernomial(args.r, site).truncated(args.qmax, args.zwin)
         print(_render_char(value, fmt))
     return 0
 

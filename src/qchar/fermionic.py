@@ -26,6 +26,7 @@ every nonzero summand, so the sum is an exact Laurent polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +36,10 @@ from .laurent import (
     norm_exp,
     _half_iadd,
     _qdict_prod,
+    _unpack_qdict,
+    _width,
 )
-from .qbinom import _ext_qdict, ext_min_qexp
+from .qbinom import _PackedBinomials, ext_min_qexp
 from .supernomial import SiteVector, multiplicities
 
 __all__ = [
@@ -269,26 +272,53 @@ def lattice_sum(
 ) -> BiLaurent:
     """Evaluate the lattice sum over an explicit finite box.
 
+    With extended=False the factors are standard Gaussian binomials, so
+    negative bottoms vanish.  The sum is accumulated in packed ints (see
+    laurent), one per part (z-degree, e2 & 1), at one byte width.  A first
+    pass keeps the surviving summands and the least exponent of each part,
+    and sums over them the product of their factors' absolute coefficient
+    sums, which bounds every coefficient and fixes the width.  The second
+    pass packs each distinct binomial once and adds each product into its
+    part at its exponent.
+
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
-    zwin.  The truncation is exact: each summand's factor product is cut at
-    qmax only once it is complete, and a summand is skipped only when the
-    closed-form lowest exponents of its factors (ext_min_qexp) already put
-    it above qmax.  With extended=False the factors are standard Gaussian
-    binomials, so negative bottoms vanish.  Only the summands that the
-    support and sign rules leave are ever multiplied out.
+    zwin, exactly.  A summand is skipped only when its z-degree lies outside
+    zwin or the closed-form lowest exponents of its factors (ext_min_qexp)
+    already put it above qmax.  Other products are added whole, and each
+    part is cut at qmax once, when it is unpacked.
     """
-    acc: dict = {}
+    survivors = []
+    base: dict = {}  # least exponent of each part
+    bound = 0
     for n, zdeg, e2, tops in _summands(data, nvec, box, extended):
         if zwin is not None and abs(zdeg) > zwin:
             continue
-        cap = None
-        if qmax is not None:
-            # an int s has s <= qmax - e2/2 exactly when s <= cap
-            cap = (2 * qmax - e2) // 2
-            if sum(ext_min_qexp(t, b) for t, b in zip(tops, n)) > cap:
-                continue
-        prod = _qdict_prod([_ext_qdict(t, b) for t, b in zip(tops, n)], cap)
-        _half_iadd(acc, zdeg, e2, prod)
+        pairs = tuple(zip(tops, n))
+        lo = sum(ext_min_qexp(t, b) for t, b in pairs)
+        # an int s has s <= qmax - e2/2 exactly when s <= (2*qmax - e2) // 2
+        if qmax is not None and lo > (2 * qmax - e2) // 2:
+            continue
+        key = (zdeg, e2 & 1)
+        lo += e2 >> 1
+        if base.get(key, lo) >= lo:
+            base[key] = lo
+        # |value at q = 1| of each factor, the sum of its absolute
+        # coefficients: comb(t, b), or comb(-b-1, -t-1) when reflected
+        bound += math.prod(
+            [math.comb(t if t >= 0 else -b - 1, t - b) for t, b in pairs]
+        )
+        survivors.append((key, lo, pairs))
+    width = _width(bound)
+    bits = 8 * width
+    packed = _PackedBinomials(width)
+    parts: dict = {}
+    for key, lo, pairs in survivors:
+        prod = math.prod([packed[pair] for pair in pairs])
+        parts[key] = parts.get(key, 0) + (prod << bits * (lo - base[key]))
+    acc = {}
+    for key, value in parts.items():
+        cap = None if qmax is None else (2 * qmax - key[1]) // 2
+        acc[key] = _unpack_qdict(value, width, base[key], cap)
     return BiLaurent._from_halves(acc)
 
 

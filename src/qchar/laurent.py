@@ -16,19 +16,20 @@ share between threads or worker processes.
 Coefficients are arbitrary-precision Python ints throughout; nothing is
 ever rounded or reduced modulo anything.
 
-Inside the engine, every z-free polynomial is a raw {q_exp: coefficient}
-dict with int exponents and no zero value (`_qdict_*`): the binomial table,
-the supernomial sums and every lattice summand use that one form.  A lattice
-summand's own exponent lies in (1/2)Z, so the lattice sums carry it doubled,
-as an int e2, and `_half_iadd` files each product under (z-degree, e2 & 1);
-`BiLaurent._from_halves` builds the result once, at the end.  The products
-take one of two exact kernels, chosen by size.  Small ones use the
-schoolbook double loop.  From _KRONECKER_MIN coefficient products on, they
-use Kronecker substitution (Harvey, arXiv:0712.4046): each factor's dense
-coefficient list is packed into one big int at a common byte width w, the
-ints are multiplied, and the product is unpacked once.  The product of the
-factors' absolute coefficient sums bounds every output coefficient; w keeps
-that bound below 2^(8w-1), so every coefficient reads back exactly.
+Inside the engine, a z-free polynomial is a raw {q_exp: coefficient} dict
+with int exponents and no zero value (`_qdict_*`), the form of the binomial
+table.  The lattice and supernomial sums compute in packed ints instead
+(Kronecker substitution, Harvey, arXiv:0712.4046): sum c_k q^k is the int
+sum c_k 2^(8wk), at one byte width w per sum.  Packing is a ring
+homomorphism: each distinct binomial is packed once, products are int
+products, a term at exponent e is added shifted by 8w*e bits, and each part
+of the sum is unpacked once, at the end.  A bound on the final coefficients
+fixes w with every |c_k| < 2^(8w-1), so each digit reads back exactly,
+whatever its sign.  Lattice exponents lie in (1/2)Z and are carried doubled,
+as an int e2, with one part per (z-degree, e2 & 1), which
+`BiLaurent._from_halves` joins.  `_qdict_mul` and `_qdict_prod` multiply
+dicts with a schoolbook loop below _KRONECKER_MIN coefficient products and
+with the same packing from there on.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "BiLaurent",
     "Fraction",
     "bounded_partition_counts",
-    "partition_series",
 ]
 
 
@@ -228,18 +228,6 @@ class BiLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = BiLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def shift(self, dq: Exp = 0, dz: int = 0) -> "BiLaurent":
         """Multiply by the monomial q^dq z^dz."""
         if dq == 0 and dz == 0:
@@ -402,16 +390,9 @@ def bounded_partition_counts(parts: int, max_deg: int) -> tuple[int, ...]:
     return tuple(dp)
 
 
-def partition_series(max_deg: int) -> BiLaurent:
-    """The partition generating function 1/(q)_inf truncated at q^max_deg."""
-    counts = bounded_partition_counts(max_deg, max_deg)
-    return BiLaurent._raw({(j, 0): c for j, c in enumerate(counts) if c})
-
-
 # -- internal helpers for hot loops -------------------------------------------
-# Raw {q_exp: coefficient} dicts with int exponents avoid tuple keys inside
-# the lattice sums.  A product of int-keyed dicts is int-keyed and stores no
-# zero value, so two results compare equal exactly when the polynomials do.
+# A product of int-keyed qdicts is int-keyed and stores no zero value, so
+# two results compare equal exactly when the polynomials do.
 
 # Below this many coefficient products (the product of the factors' term
 # counts) a schoolbook loop beats packing into big ints.  Measured with
@@ -450,14 +431,11 @@ def _qdict_prod(factors, cap=None) -> dict:
     int or a Fraction).
 
     Large products use Kronecker substitution: each factor's dense
-    coefficient list, evaluated at q = 2^(8w), is one Python int, and the
-    interpreter multiplies those ints with Karatsuba.  The product of the
-    factors' absolute coefficient sums bounds every output coefficient, and
-    w is the least byte width that keeps this bound below 2^(8w-1).  So
-    every digit of the product int lies in (-2^(8w-1), 2^(8w-1)); adding
-    2^(8w-1) to each digit, through one constant offset int, makes every
-    digit nonnegative without a carry, and the coefficients read back
-    exactly.
+    coefficient list is packed at a common byte width w (_pack), the
+    interpreter multiplies those ints with Karatsuba, and _unpack_qdict
+    reads the product back once.  The product of the factors' absolute
+    coefficient sums bounds every output coefficient, and _width keeps
+    that bound below 2^(8w-1).
     """
     if math.prod(map(len, factors)) < _KRONECKER_MIN:
         # The fold has fewer terms than that at every step, so each
@@ -473,26 +451,17 @@ def _qdict_prod(factors, cap=None) -> dict:
         flo, vals = _dense(f)
         lo += flo
         dense.append(vals)
-    size = 1 + sum(len(vals) - 1 for vals in dense)  # digits of the product
-    count = size if cap is None else min(size, math.floor(cap) - lo + 1)
-    if count <= 0:
-        return {}
-    if count < size:  # the low digits of a product need only those of the factors
-        dense = [vals[:count] for vals in dense]
-        size = 1 + sum(len(vals) - 1 for vals in dense)
-    bound = math.prod(sum(map(abs, vals)) for vals in dense)
-    width = (bound.bit_length() + 8) // 8
+    if cap is not None:
+        cap = math.floor(cap)
+        if cap < lo:
+            return {}
+        # the low digits of a product need only those of the factors
+        dense = [vals[: cap - lo + 1] for vals in dense]
+    width = _width(math.prod(sum(map(abs, vals)) for vals in dense))
     value = 1
     for vals in dense:
-        value *= _pack_signed(vals, width)
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    buf = (value + offset).to_bytes(width * size, "little")
-    return {
-        lo + k: c - half
-        for k, c in enumerate(_unpack(buf, width, count))
-        if c != half
-    }
+        value *= _pack(vals, width)
+    return _unpack_qdict(value, width, lo, cap)
 
 
 def _dense(d: dict) -> tuple[int, list]:
@@ -508,29 +477,45 @@ def _dense(d: dict) -> tuple[int, list]:
     return lo, vals
 
 
-def _pack_signed(vals: list, width: int) -> int:
-    """sum vals[k] * 2^(8*width*k) for |vals[k]| < 2^(8*width-1)."""
+def _width(bound: int) -> int:
+    """Least byte width w with bound < 2^(8w-1)."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(vals, width: int) -> int:
+    """sum vals[k] * 2^(8*width*k), for a list or dict view of ints with
+    every |vals[k]| < 2^(8*width-1)."""
     if min(vals) >= 0:
-        return _pack(vals, width)
+        return int.from_bytes(
+            b"".join([c.to_bytes(width, "little") for c in vals]), "little"
+        )
     return _pack([max(c, 0) for c in vals], width) - _pack(
         [max(-c, 0) for c in vals], width
     )
 
 
-def _pack(vals: list, width: int) -> int:
-    """sum vals[k] * 2^(8*width*k) for 0 <= vals[k] < 2^(8*width)."""
-    if max(vals) >> 64:
-        return int.from_bytes(
-            b"".join(c.to_bytes(width, "little") for c in vals), "little"
-        )
-    words = array("Q", vals)
-    if _NATIVE_BIG_ENDIAN:
-        words.byteswap()
-    src = words.tobytes()
-    buf = bytearray(width * len(vals))
-    for j in range(min(width, 8)):  # byte j of every 8-byte word
-        buf[j::width] = src[j::8]
-    return int.from_bytes(buf, "little")
+def _unpack_qdict(value: int, width: int, lo: int, cap: int | None = None) -> dict:
+    """{lo + k: c_k} for value = sum c_k 2^(8*width*k) with every
+    |c_k| < 2^(8*width-1), keeping the exponents <= cap and no zero c_k.
+
+    One constant offset int adds 2^(8w-1) to every digit without a carry.
+    Under a cap only the low digits are read, from value mod 2^(8w*count),
+    so the digits above them may be anything.
+    """
+    bits = 8 * width
+    # a nonzero top digit c_(n-1) makes |value| > 2^(bits*(n-1) - 1)
+    count = abs(value).bit_length() // bits + 1
+    if cap is not None:
+        count = min(count, max(cap - lo + 1, 0))
+    half = 1 << (bits - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    value = (value + offset) & ((1 << bits * count) - 1)
+    buf = value.to_bytes(width * count, "little")
+    return {
+        lo + k: c - half
+        for k, c in enumerate(_unpack(buf, width, count))
+        if c != half
+    }
 
 
 def _unpack(buf: bytes, width: int, count: int):

@@ -11,9 +11,9 @@ unique family satisfying both q-Pascal recurrences
 at every integer (n, m), with X(m, m) = 1 and X(n, 0) = 0 for n < 0.
 
 Every binomial, standard or extended, is built once as an int-keyed
-{q_exp: coeff} dict in the one table behind _ext_qdict; the lattice and
-supernomial sums multiply those dicts directly, and qbinomial and
-qbinomial_ext wrap them in a BiLaurent on each call.
+{q_exp: coeff} dict in the one table behind _ext_qdict.  qbinomial and
+qbinomial_ext wrap those dicts in a BiLaurent on each call; the lattice and
+supernomial sums pack them into ints (_PackedBinomials) and multiply those.
 
 All functions are pure; the memo tables are written idempotently, so
 concurrent use (threads or forked workers) is safe.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import sub
 
-from .laurent import BiLaurent
+from .laurent import BiLaurent, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
 
@@ -137,3 +137,16 @@ def _ext_qdict(n: int, m: int) -> dict:
             d = {}
         _EXT_QDICT[key] = d
     return d
+
+
+class _PackedBinomials(dict):
+    """(n, m) -> qbinomial_ext(n, m) packed at one byte width (see laurent),
+    each packed on first use: the binomial memo of one packed sum."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, key):
+        f = self[key] = _pack(_ext_qdict(*key).values(), self.width)
+        return f

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import BiLaurent, _qdict_iadd, _qdict_mul
-from .qbinom import _ext_qdict
+from .laurent import BiLaurent, _unpack_qdict, _width
+from .qbinom import _PackedBinomials
 
 __all__ = [
     "SiteVector",
@@ -134,15 +134,20 @@ def supernomial(entries, a: int) -> BiLaurent:
         qbin(L_k, n_k) qbin(L_{k-1} + n_k, n_{k-1}) ... qbin(L_1 + n_2, n_1)
 
     with S_i = L_i + ... + L_k.  Zero outside 0 <= a <= sum_j j*L_j.
+
+    The sum is accumulated in one packed int (see laurent).  Every
+    coefficient is nonnegative and at most the value at q = 1 summed over
+    all a, prod_j (j+1)^(L_j), which fixes the byte width of the call.
     """
     entries = _check_entries(entries)
     key = (entries, a)
     poly = _SUP.get(key)
     if poly is None:
-        acc: dict = {}
-        for exp, factors in _compositions(entries, a):
-            _qdict_iadd(acc, factors, exp)
-        poly = BiLaurent.from_qdict(acc)
+        width = _width(math.prod((j + 1) ** v for j, v in enumerate(entries, 1)))
+        acc = 0
+        for exp, value in _compositions(entries, a, width):
+            acc += value << 8 * width * exp
+        poly = BiLaurent.from_qdict(_unpack_qdict(acc, width, 0))
         _SUP[key] = poly
     return poly
 
@@ -154,53 +159,50 @@ def supernomial_at1(entries, a: int) -> int:
     key = (entries, a)
     val = _SUP1.get(key)
     if val is None:
-        val = 0
-        for _, top_bot in _compositions(entries, a, weights=False):
-            term = 1
-            for top, bot in top_bot:
-                term *= math.comb(top, bot)
-            val += term
+        val = sum(
+            math.prod([math.comb(top, bot) for top, bot in pairs])
+            for _, pairs in _compositions(entries, a)
+        )
         _SUP1[key] = val
     return val
 
 
-def _compositions(entries: tuple[int, ...], a: int, weights: bool = True):
-    """Enumerate contributing compositions (n_1, ..., n_k) of a.
+def _compositions(entries: tuple[int, ...], a: int, width: int | None = None):
+    """Enumerate contributing compositions (n_1, ..., n_k) of a, yielding
+    (exponent, product of the composition's binomials) for each.
 
-    Yields (exponent, factor_qdict) when weights is True, else
-    (0, ((top, bottom), ...)).  Bounds follow the vanishing of the binomial
-    factors: n_k in [0, L_k], then n_{i} in [0, L_i + n_{i+1}]."""
+    With a byte width the product is a packed int (see laurent), folded
+    along the composition tree with each distinct binomial packed once;
+    without one it is the tuple ((top, bottom), ...).  Bounds follow the
+    vanishing of the binomial factors: n_k in [0, L_k], then n_{i} in
+    [0, L_i + n_{i+1}]."""
     k = len(entries)
     if a < 0 or a > _top(entries):
         return
     suffix = [0] * (k + 2)
     for i in range(k, 0, -1):
         suffix[i] = suffix[i + 1] + entries[i - 1]
+    packed = None if width is None else _PackedBinomials(width)
 
-    # Assign n_k, ..., n_2 recursively; n_1 is forced by the total.
+    def extend(factors, top, n):
+        if packed is None:
+            return factors + ((top, n),)
+        return factors * packed[top, n]
+
+    # Assign n_k, ..., n_2 recursively; n_1 is forced by the total.  At
+    # pos = k, next_n = 0 and suffix[k + 1] = 0.
     def rec(pos: int, remaining: int, next_n: int, exp: int, factors):
+        top = entries[pos - 1] + next_n
         if pos == 1:
-            n1 = remaining
-            top = entries[0] + (next_n if k > 1 else 0)
-            if 0 <= n1 <= top:
-                if k > 1:
-                    exp = exp + n1 * (suffix[2] - next_n)
-                if weights:
-                    yield exp, _qdict_mul(factors, _ext_qdict(top, n1))
-                else:
-                    yield 0, factors + ((top, n1),)
+            if remaining <= top:
+                exp += remaining * (suffix[2] - next_n)
+                yield exp, extend(factors, top, remaining)
             return
-        top = entries[pos - 1] + (next_n if pos < k else 0)
         for n in range(0, min(top, remaining) + 1):
-            e2 = exp + (n * (suffix[pos + 1] - next_n) if pos < k else 0)
-            if weights:
-                f = _qdict_mul(factors, _ext_qdict(top, n))
-                yield from rec(pos - 1, remaining - n, n, e2, f)
-            else:
-                yield from rec(pos - 1, remaining - n, n, e2, factors + ((top, n),))
+            e = exp + n * (suffix[pos + 1] - next_n)
+            yield from rec(pos - 1, remaining - n, n, e, extend(factors, top, n))
 
-    start = {0: 1} if weights else ()
-    yield from rec(k, a, 0, 0, start)
+    yield from rec(k, a, 0, 0, () if packed is None else 1)
 
 
 def _top(entries) -> int:

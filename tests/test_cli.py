@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -81,6 +82,24 @@ def test_compute_char_coinv_routes_match(capsys):
         "--site", "2,1;1,2", "--route", "fermionic",
     )
     assert json.loads(sup_out) == json.loads(ferm_out)
+
+
+def test_compute_char_coinv_applies_qmax_and_zwin(capsys):
+    base = ("compute", "char-coinv", "--p", "4", "--r", "0", "--site", "5,5;4,7,9")
+    _, full_out, _ = run_cli(capsys, *base)
+    full = json.loads(full_out)
+    cut = ("--qmax", "2", "--zwin", "1")
+    outs = [
+        json.loads(run_cli(capsys, *base, "--route", route, *cut)[1])
+        for route in ("supernomial", "fermionic")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0] != full
+    kept = [
+        t for t in full["poly"]["terms"]
+        if Fraction(t["q"]) <= 2 and abs(t["z"]) <= 1
+    ]
+    assert outs[0]["poly"]["terms"] == kept
 
 
 def test_malformed_input_exits_2(capsys):

@@ -16,10 +16,14 @@ from qchar.fermionic import (
     standard_flow_vector,
     support_box,
 )
+from qchar.qbinom import qbinomial_ext
 from qchar.supernomial import SiteVector
 from qchar.verify import _cases_rec_diag, _site_cases
 
 from oracles import lattice_support_brute
+
+
+HALF = Fraction(1, 2)
 
 
 def qz(*triples):
@@ -181,6 +185,43 @@ def test_lattice_sum_truncation_with_negative_cutoffs():
     for qmax in (-1, 0, 2):
         cut = fermionic_sum(site, qmax=qmax, zwin=2)
         assert cut == full.truncate_q(qmax).clip_z(2)
+
+
+@pytest.mark.parametrize(
+    "u, v, w", [((0,), (0,), (0,)), ((0,), (0,), (1,)), ((1,), (HALF,), (1,))]
+)
+def test_lattice_sum_wide_signed_digits(u, v, w):
+    # Matrix (0) and N = 70: the summand at n is z^(un) q^(vn) X(70+w+n, n).
+    # Below n = -70-w the extended factors are reflected binomials with
+    # coefficients beyond 2^64, negative when 70+w is odd; with u = 0 they
+    # share one part with the positive standard ones.
+    data = QuadraticData(((0,),), u, v, w)
+    box = [(-100, 3)]
+    full = sum(
+        (
+            qbinomial_ext(70 + w[0] + n, n).shift(v[0] * n, u[0] * n)
+            for n in range(box[0][0], box[0][1] + 1)
+        ),
+        BiLaurent.zero(),
+    )
+    assert max(abs(c) for *_, c in full.terms()) > 2**64
+    for qmax, zwin in (
+        (None, None),
+        (-3000, None),
+        (-1, 80),
+        (Fraction(7, 2), 95),
+        (100, 0),
+    ):
+        cut = lattice_sum(data, (70,), box, qmax=qmax, zwin=zwin)
+        assert cut == full.truncate_q(qmax).clip_z(zwin)
+
+
+def test_lattice_sum_coefficient_at_width_edge():
+    # N = 0 and matrix (0): each summand is [n choose n] = 1 at q^0 z^0, so
+    # the one coefficient of the sum equals the width bound, the box size
+    data = QuadraticData(((0,),), (0,))
+    for size in (127, 128, 32768):
+        assert lattice_sum(data, (0,), [(0, size - 1)]) == size
 
 
 def test_fermionic_sum_cutoff_shift_matches_shifted_site():

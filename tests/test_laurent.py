@@ -12,7 +12,6 @@ from qchar.laurent import (
     _qdict_mul,
     _qdict_prod,
     bounded_partition_counts,
-    partition_series,
 )
 from qchar.qbinom import qpochhammer
 
@@ -58,12 +57,6 @@ def test_mul_identity():
     p = qz((Fraction(3, 2), 2, 5), (0, -1, 1))
     assert p * BiLaurent.one() == p
     assert 1 * p == p
-
-
-def test_pow_matches_repeated_mul():
-    p = qz((0, 0, 1), (1, 1, -2))
-    assert p ** 3 == p * p * p
-    assert p ** 0 == BiLaurent.one()
 
 
 # -- specializations -----------------------------------------------------------
@@ -118,12 +111,11 @@ def test_cyclotomic_rejects_q_terms():
 # -- partition series ----------------------------------------------------------------
 
 
-def test_partition_series_values():
-    assert partition_series(0) == BiLaurent.one()
-    assert partition_series(3) == qz((0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 0, 3))
-    assert partition_series(5) == qz(
-        (0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 5), (5, 0, 7)
-    )
+def test_bounded_partition_counts_values():
+    assert bounded_partition_counts(0, 0) == (1,)
+    assert bounded_partition_counts(3, 3) == (1, 1, 2, 3)
+    assert bounded_partition_counts(5, 5) == (1, 1, 2, 3, 5, 7)
+    assert bounded_partition_counts(2, 5) == (1, 1, 2, 2, 3, 3)
 
 
 def test_partition_series_against_enumeration():
@@ -132,9 +124,11 @@ def test_partition_series_against_enumeration():
     assert list(counts) == expected
 
 
-def test_partition_series_inverts_pochhammer():
-    for deg in (0, 1, 4, 7):
-        product = partition_series(deg) * qpochhammer(deg)
+def test_bounded_partition_counts_invert_pochhammer():
+    for parts, deg in ((0, 0), (1, 1), (4, 4), (7, 7), (3, 9)):
+        counts = bounded_partition_counts(parts, deg)
+        series = BiLaurent.from_qdict(dict(enumerate(counts)))
+        product = series * qpochhammer(parts)
         assert product.truncate_q(deg) == BiLaurent.one()
 
 

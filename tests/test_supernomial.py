@@ -1,5 +1,6 @@
 """Supernomial coefficients, the second-difference matrix, site vectors."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,14 @@ def test_supernomial_single_column_is_gaussian():
     for top in range(5):
         for a in range(-1, 6):
             assert supernomial((top,), a) == qbinomial(top, a)
+
+
+def test_supernomial_wide_digits():
+    # prod_j (j+1)^(L_j) = 2^70 bounds the coefficients: a 9-byte width
+    for a in (1, 20, 35, 69):
+        poly = supernomial((70,), a)
+        assert poly == qbinomial(70, a)
+        assert poly.at_q1_z1() == math.comb(70, a)
 
 
 def test_supernomial_one_one():
