@@ -27,7 +27,7 @@ from .characters import (
     coinv_char_supernomial,
     rep_character,
 )
-from .verify import ALL_IDENTITIES, REPORT_SCHEMA, run_identity
+from .verify import ALL_IDENTITIES, REPORT_SCHEMA, WorkerPool, run_identity
 
 __all__ = ["main", "REPORT_SCHEMA"]
 
@@ -224,16 +224,18 @@ def _cmd_verify(args) -> int:
     names = ALL_IDENTITIES if args.identity == "all" else (args.identity,)
     reports = []
     status = 0
-    for name in names:
-        report = run_identity(name, opts, jobs=max(1, args.jobs))
-        reports.append(report)
-        print(f"{name}: {report.cases} cases, {len(report.failures)} failures")
-        if report.failures:
-            status = 1
-            first = report.failures[0]
-            print(f"counterexample {json.dumps(first['params'])}")
-            print(f"  lhs: {json.dumps(first['lhs'])}")
-            print(f"  rhs: {json.dumps(first['rhs'])}")
+    # one pool serves every identity of the run
+    with WorkerPool(max(1, args.jobs)) as pool:
+        for name in names:
+            report = run_identity(name, opts, pool=pool)
+            reports.append(report)
+            print(f"{name}: {report.cases} cases, {len(report.failures)} failures")
+            if report.failures:
+                status = 1
+                first = report.failures[0]
+                print(f"counterexample {json.dumps(first['params'])}")
+                print(f"  lhs: {json.dumps(first['lhs'])}")
+                print(f"  rhs: {json.dumps(first['rhs'])}")
     if args.report:
         payload = (
             reports[0].to_json_obj()

@@ -8,16 +8,21 @@ The central object is
             z^(u.n) q^(n A n / 2 + v.n) *
             prod_a qbinomial_ext(e_a.(N + w + n - nA), e_a.n)
 
-Support rule.  A factor X(t_a, n_a) vanishes unless n_a <= t_a, for both
-signs of n_a and both binomial kinds, and t_a = N_a + w_a + n_a - (nA)_a.
-So every nonzero summand satisfies the row inequalities
+Support and sign rules.  A factor X(t_a, n_a) vanishes unless n_a <= t_a,
+for both signs of n_a and both binomial kinds, and t_a = N_a + w_a + n_a -
+(nA)_a.  It also vanishes when n_a < 0 <= t_a, and for standard binomials
+whenever n_a < 0.  Every other factor is nonzero.  Once the sign of each
+n_a is fixed, both rules are linear: every nonzero summand satisfies the
+upper rows
 
-    (nA)_a <= N_a + w_a    for every a,
+    (nA)_a <= N_a + w_a                  for every a,
 
-and _leaves enumerates exactly the n in the box that satisfy them.  What
-remains is the sign rule: a factor with n_a < 0 <= t_a vanishes, as does
-any factor with n_a < 0 for standard binomials.  Every other factor is
-nonzero.
+and, for each a with n_a < 0, the sign row
+
+    (nA)_a - n_a >= N_a + w_a + 1.
+
+_leaves splits each coordinate's range at 0 and cuts both branches by
+these rows, so it yields exactly the summands in the box.
 
 For the coupling matrix of a SiteVector whose multiplicity vector is
 nonnegative, support_box computes a finite box that provably contains
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .laurent import (
     BiLaurent,
@@ -188,74 +194,127 @@ def support_box(site: SiteVector, w=None) -> list[tuple[int, int]]:
     return box
 
 
-def _leaves(box, rows, eff):
-    """Yield (n, nA) for the n in the box that satisfy every row inequality
-    (nA)_a <= eff_a; nA is maintained incrementally.
+def _range(step, s, negs, n):
+    """The values one coordinate can take, given the partial sums s of nA
+    over the coordinates fixed before it and those of them that are
+    negative (negs).
 
-    At each coordinate the range is cut by every row, with the later
-    coordinates at their least contribution over the box, so each leaf
-    satisfies all the rows exactly.
+    step holds the coordinate's box (lo, hi), its row of A, its own sign row
+    (A[i][i] - 1, i), and room / need: eff (+ 1) less the least / greatest
+    contribution of the later coordinates over the box.
+    """
+    lo, hi, row, own, room, need = step
+    for a, c in enumerate(row):
+        r = room[a] - s[a]
+        if c > 0:
+            if r < c * hi:
+                hi = r // c
+        elif c < 0:
+            if r < c * lo:
+                lo = -(r // -c)
+        elif r < 0:
+            return ()
+    for a in negs:
+        c = row[a]
+        r = need[a] + n[a] - s[a]
+        if c > 0:
+            lo = max(lo, -(-r // c))
+        elif c < 0:
+            hi = min(hi, r // c)
+        elif r > 0:
+            return ()
+    if lo >= 0 or lo > hi:
+        return range(lo, hi + 1)
+    # the negative branch is cut by the coordinate's own sign row
+    neg_hi = min(hi, -1)
+    c, i = own
+    r = need[i] - s[i]
+    if c > 0:
+        lo = max(lo, -(-r // c))
+    elif c < 0:
+        neg_hi = min(neg_hi, r // c)
+    elif r > 0:
+        neg_hi = lo - 1
+    if hi < 0:
+        return range(lo, neg_hi + 1)
+    return chain(range(lo, neg_hi + 1), range(hi + 1))
+
+
+def _leaves(box, rows, eff, extended=True):
+    """Yield (n, nA) for every n in the box whose summand has no vanishing
+    factor; with extended=False, only n >= 0.
+
+    Each coordinate's range is split at 0.  Both branches are cut by every
+    upper row (nA)_a <= eff_a and by the sign row (nA)_a - n_a >= eff_a + 1
+    of every fixed negative coordinate; the negative branch also by the
+    coordinate's own sign row.  The later coordinates enter each row at
+    their least (upper rows) or greatest (sign rows) contribution over the
+    box, so at the last coordinate every row is exact and every leaf is a
+    summand.  The walk is iterative and takes the coordinates last to
+    first, which puts the levels of a coupling matrix before the signs.
     """
     m = len(box)
-    # tail[i][a]: least value of sum_{b >= i} n_b A[b][a] over the box
-    tail = [[0] * m for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
+    if m == 0:
+        yield (), ()
+        return
+    order = range(m - 1, -1, -1)
+    steps = []
+    for i in order:
         lo, hi = box[i]
-        tail[i] = [t + min(c * lo, c * hi) for t, c in zip(tail[i + 1], rows[i])]
-    n = [0] * m
-    s = [0] * m
-
-    def rec(idx):
-        if idx == m:
-            yield tuple(n), tuple(s)
+        if not extended:
+            lo = max(lo, 0)  # an empty negative branch
+        if lo > hi:
             return
-        lo, hi = box[idx]
-        row = rows[idx]
-        rest = tail[idx + 1]
-        for a in range(m):
-            c = row[a]
-            room = eff[a] - s[a] - rest[a]
-            if c > 0:
-                hi = min(hi, room // c)
-            elif c < 0:
-                lo = max(lo, -(room // -c))
-            elif room < 0:
-                return
-        for v in range(lo, hi + 1):
-            n[idx] = v
-            if v:
-                for j in range(m):
-                    s[j] += v * row[j]
-            yield from rec(idx + 1)
-            if v:
-                for j in range(m):
-                    s[j] -= v * row[j]
-        n[idx] = 0
-
-    yield from rec(0)
+        steps.append((lo, hi, rows[i], (rows[i][i] - 1, i)))
+    tmin = tmax = (0,) * m  # least / greatest contribution of the tail
+    for k in range(m - 1, -1, -1):
+        lo, hi, row, _ = steps[k]
+        steps[k] += ([e - t for e, t in zip(eff, tmin)],
+                     [e + 1 - t for e, t in zip(eff, tmax)])
+        tmin = [t + (c * lo if c > 0 else c * hi) for t, c in zip(tmin, row)]
+        tmax = [t + (c * hi if c > 0 else c * lo) for t, c in zip(tmax, row)]
+    n = [0] * m
+    sums = [[0] * m] + [None] * (m - 1)  # partial sums of nA per position
+    negs = [()] * m  # the fixed negative coordinates per position
+    values = [iter(_range(steps[0], sums[0], (), n))] + [None] * (m - 1)
+    last = m - 1
+    k = 0
+    while k >= 0:
+        i = order[k]
+        row = steps[k][2]
+        for v in values[k]:
+            n[i] = v
+            s = [x + v * c for x, c in zip(sums[k], row)] if v else sums[k]
+            if k == last:
+                yield tuple(n), tuple(s)
+                continue
+            neg = negs[k] + (i,) if v < 0 else negs[k]
+            k += 1
+            sums[k] = s
+            negs[k] = neg
+            values[k] = iter(_range(steps[k], s, neg, n))
+            break
+        else:
+            n[i] = 0
+            k -= 1
 
 
 def _summands(data: QuadraticData, nvec, box, extended=True):
     """Yield (n, zdeg, e2, tops) over the nonzero summands in the box.
 
     e2 = sum_a n_a ((nA)_a + 2 v_a) is twice the summand's q-exponent, an
-    int.  The tops are e_a.(N + w + n - nA).  _leaves applies the support
-    rule, so only the sign rule is left here: a factor with bottom < 0 <= top
-    vanishes.  With extended=False the box is clamped to n >= 0 first.
+    int.  The tops are e_a.(N + w + n - nA).  _leaves applies both the
+    support and the sign rule, so every vector it yields is a summand.
     """
     m = data.size
     nvec = tuple(nvec)
     if len(nvec) != m:
         raise ValueError("site vector length must match the matrix size")
     eff = tuple(nvec[a] + data.w[a] for a in range(m))
-    if not extended:
-        box = [(max(lo, 0), hi) for lo, hi in box]
     u = data.u
     v2 = tuple(int(2 * x) for x in data.v)
-    for n, s in _leaves(box, data.matrix, eff):
+    for n, s in _leaves(box, data.matrix, eff, extended):
         tops = tuple(eff[a] + n[a] - s[a] for a in range(m))
-        if any(na < 0 <= t for na, t in zip(n, tops)):
-            continue
         e2 = sum(n[a] * (s[a] + v2[a]) for a in range(m))
         zdeg = sum(u[a] * n[a] for a in range(m))
         yield n, zdeg, e2, tops

@@ -33,8 +33,10 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import BiLaurent, _qdict_iadd, _qdict_mul
 from .qbinom import _ext_qdict, qbinomial, qbinomial_ext
@@ -65,7 +67,8 @@ from .fusion import (
     fusion_dims,
 )
 
-__all__ = ["IdentityReport", "REPORT_SCHEMA", "ALL_IDENTITIES", "run_identity"]
+__all__ = ["IdentityReport", "REPORT_SCHEMA", "ALL_IDENTITIES", "WorkerPool",
+           "run_identity"]
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -150,6 +153,13 @@ def _site_cases(p_lo, p_hi, nmax, margin, max_d=None):
                         site = SiteVector(p, plus, minus, levels)
                         if all(v >= 0 for v in multiplicities(site)):
                             yield (p, d, plus, minus, levels)
+
+
+@lru_cache(maxsize=1)
+def _site_case_list(p_lo, p_hi, nmax, margin):
+    """_site_cases as a tuple, built once for ta and tb, which sweep the
+    same sites."""
+    return tuple(_site_cases(p_lo, p_hi, nmax, margin))
 
 
 def _full_site_cases(p_lo, p_hi, entry_max):
@@ -330,19 +340,11 @@ def _check_knuth(case):
 
 
 def _cases_tb(opts):
-    return list(
-        _site_cases(opts["p_lo"], opts["p_hi"], opts["nmax"], opts["margin"])
-    )
+    return _site_case_list(opts["p_lo"], opts["p_hi"], opts["nmax"], opts["margin"])
 
 
 def _cases_ta(opts):
-    return [
-        case
-        for case in _site_cases(
-            opts["p_lo"], opts["p_hi"], opts["nmax"], opts["margin"]
-        )
-        if _is_balanced(*case)
-    ]
+    return [case for case in _cases_tb(opts) if _is_balanced(*case)]
 
 
 def _check_tb(case):
@@ -594,9 +596,56 @@ _REGISTRY = {
 ALL_IDENTITIES = tuple(_REGISTRY)
 
 
-def run_identity(identity: str, options=None, jobs: int = 1) -> IdentityReport:
-    """Run one identity sweep; failures keep case order, so output is
-    reproducible for any worker count."""
+class WorkerPool:
+    """Worker processes shared by the sweeps of one run.
+
+    The pool opens on the first sweep that can use more than one worker, with
+    as many as that sweep can use: never more than jobs, the CPUs or its
+    cases.  It reopens larger only for a later sweep that can use more.  Its
+    workers keep their memo tables from one sweep to the next.
+    """
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self._pool = None
+        self._size = 0
+        self._stack = ExitStack()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def close(self) -> None:
+        self._stack.close()
+        self._pool = None
+        self._size = 0
+
+    def map(self, checker, cases):
+        """checker over cases, results in case order."""
+        workers = min(self.jobs, os.cpu_count() or 1, len(cases))
+        if workers <= 1:
+            return map(checker, cases)
+        if workers > self._size:
+            # the pool forks all its workers at once, so never more than
+            # can run
+            self.close()
+            self._pool = self._stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers)
+            )
+            self._size = workers
+        chunk = max(1, len(cases) // (workers * 8))
+        return self._pool.map(checker, cases, chunksize=chunk)
+
+
+def run_identity(
+    identity: str, options=None, jobs: int = 1, pool: WorkerPool | None = None
+) -> IdentityReport:
+    """Run one identity sweep on the workers of `pool`, or on a pool of
+    `jobs` workers opened for this sweep alone.  Failures keep case order,
+    so output is reproducible for any worker count."""
     if identity not in _REGISTRY:
         raise ValueError(f"unknown identity {identity!r}")
     gen, checker, defaults = _REGISTRY[identity]
@@ -607,20 +656,10 @@ def run_identity(identity: str, options=None, jobs: int = 1) -> IdentityReport:
     cases = gen(opts)
     if not cases:
         raise ValueError(f"sweep for {identity!r} is empty; widen the ranges")
-    start = time.perf_counter()
-    failures = []
-    # the pool forks all its workers at once, so never more than can run
-    workers = min(jobs, os.cpu_count() or 1, len(cases))
-    if workers > 1:
-        chunk = max(1, len(cases) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(checker, cases, chunksize=chunk):
-                if result is not None:
-                    failures.append(result)
-    else:
-        for case in cases:
-            result = checker(case)
-            if result is not None:
-                failures.append(result)
-    ms = int((time.perf_counter() - start) * 1000)
+    with ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(WorkerPool(jobs))
+        start = time.perf_counter()
+        failures = [r for r in pool.map(checker, cases) if r is not None]
+        ms = int((time.perf_counter() - start) * 1000)
     return IdentityReport(identity, len(cases), failures, ms)

@@ -278,6 +278,57 @@ def test_verify_pool_is_bounded_by_cpus_and_cases(monkeypatch):
     assert pools_for(None, 100) == []
 
 
+SMALL_SWEEPS = {"p_lo": 2, "p_hi": 2, "nmax": 2, "margin": 0, "window": 3,
+                "bound": 2, "lo": -2, "hi": 3, "awin": 2, "entry_max": 2,
+                "amax": 3, "count": 5}
+
+
+def test_verify_all_parallel_matches_serial(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(SMALL_SWEEPS))
+    runs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        code, out, _ = run_cli(capsys, "--jobs", jobs, "--report", str(path),
+                               "verify", "all", "--config", str(config))
+        reports = json.loads(path.read_text())
+        for entry in reports:
+            entry.pop("ms")
+        runs.append((code, out, reports))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
+def test_verify_all_opens_one_pool(capsys, monkeypatch, tmp_path):
+    # a fake executor counts the pools; every identity runs on the first one
+    pools, maps = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cases, chunksize):
+            maps.append(self)
+            return map(fn, cases)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(SMALL_SWEEPS))
+    code, _, _ = run_cli(capsys, "--jobs", "2", "verify", "all",
+                         "--config", str(config))
+    assert code == 0
+    assert pools == [2]
+    assert len(maps) == len(verify.ALL_IDENTITIES)
+    assert len(set(map(id, maps))) == 1
+
+
 def test_verify_unknown_identity_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 2

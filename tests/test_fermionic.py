@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar.laurent import BiLaurent
 from qchar.fermionic import (
     NonFiniteSupportError,
+    _leaves,
     QuadraticData,
     coupling_matrix,
     fermionic_sum,
@@ -129,6 +131,51 @@ def test_lattice_support_matches_brute_oracle():
     agree(QuadraticData(((0, 0), (0, 0)), (1, -1)), (1, -1), [(-2, 2), (-2, 2)])
     data = QuadraticData(coupling_matrix(3, 1), standard_flow_vector(3))
     agree(data, (2, 2, 2), [(-1, 2), (1, 0), (0, 2)])
+
+
+@st.composite
+def _row_systems(draw):
+    m = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    upper = {(i, j): draw(entry) for i in range(m) for j in range(i, m)}
+    matrix = tuple(
+        tuple(upper[min(i, j), max(i, j)] for j in range(m)) for i in range(m)
+    )
+    eff = tuple(draw(st.integers(-3, 3)) for _ in range(m))
+    box = []
+    for _ in range(m):
+        lo = draw(st.integers(-3, 3))
+        box.append((lo, draw(st.integers(lo - 1, 3))))  # may be empty
+    return matrix, eff, box
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_row_systems(), st.booleans())
+def test_leaves_match_brute_oracle(system, extended):
+    # entries in [-3, 3] put c < 0, c = 0 and c > 0 into the upper rows and
+    # into the sign rows, whose coefficient on the own coordinate is A_aa - 1
+    matrix, eff, box = system
+    got = list(_leaves(box, matrix, eff, extended))
+    vectors = [n for n, _ in got]
+    assert len(vectors) == len(set(vectors))
+    assert set(vectors) == set(lattice_support_brute(matrix, eff, box, extended))
+    for n, s in got:
+        assert s == tuple(sum(n[b] * matrix[b][a] for b in range(len(n)))
+                          for a in range(len(n)))
+
+
+def test_every_leaf_is_a_summand_on_the_tb_sweep():
+    # no vector the enumerator yields may have a vanishing factor
+    for p, d, plus, minus, levels in _site_cases(2, 4, 5, 2):
+        site = SiteVector(p, plus, minus, levels)
+        box = support_box(site)
+        for r in range(p):
+            data = QuadraticData.for_site(p, d, r)
+            eff = [c + w for c, w in zip(site.components(), data.w)]
+            for n, s in _leaves(box, data.matrix, eff):
+                for b, e, t in zip(n, eff, s):
+                    top = e + b - t
+                    assert 0 <= b <= top or b <= top < 0, (p, d, r, n)
 
 
 def test_fermionic_sum_small_values():
