@@ -216,6 +216,10 @@ def _verify_options(args) -> dict:
         opts["awin"] = args.range_
     if args.seed is not None:
         opts["seed"] = args.seed
+    # a negative count or bound would quietly shrink the sweep
+    for key in ("count", "amax", "margin", "entry_max"):
+        if opts.get(key, 0) < 0:
+            raise ValueError(f"option {key!r} must be >= 0, got {opts[key]}")
     return opts
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from .laurent import (
@@ -45,7 +46,7 @@ from .laurent import (
     _unpack_qdict,
     _width,
 )
-from .qbinom import _PackedBinomials, ext_min_qexp
+from .qbinom import _packed_binomials, ext_min_qexp
 from .supernomial import SiteVector, multiplicities
 
 __all__ = [
@@ -369,7 +370,7 @@ def lattice_sum(
         survivors.append((key, lo, pairs))
     width = _width(bound)
     bits = 8 * width
-    packed = _PackedBinomials(width)
+    packed = _packed_binomials(width)
     parts: dict = {}
     for key, lo, pairs in survivors:
         prod = math.prod([packed[pair] for pair in pairs])
@@ -396,12 +397,18 @@ def fermionic_sum(site: SiteVector, w=None, *, qmax=None, zwin=None) -> BiLauren
     shift.  Finiteness requires the multiplicity vector of site + w to be
     nonnegative."""
     p, d = site.p, site.d
-    size = d + 2
-    w = tuple(w) if w is not None else (0,) * size
-    data = QuadraticData(coupling_matrix(p, d), standard_flow_vector(size), (), w)
+    w = tuple(w) if w is not None else (0,) * (d + 2)
+    data = _site_data(p, d, w)
     return lattice_sum(
         data, site.components(), support_box(site, w), qmax=qmax, zwin=zwin
     )
+
+
+@lru_cache(maxsize=256)
+def _site_data(p: int, d: int, w: tuple) -> QuadraticData:
+    """The QuadraticData of fermionic_sum at (p, d) and cutoff shift w,
+    validated once per (p, d, w); the bound keeps the cache small."""
+    return QuadraticData(coupling_matrix(p, d), standard_flow_vector(d + 2), (), w)
 
 
 def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:

@@ -13,7 +13,10 @@ at every integer (n, m), with X(m, m) = 1 and X(n, 0) = 0 for n < 0.
 Every binomial, standard or extended, is built once as an int-keyed
 {q_exp: coeff} dict in the one table behind _ext_qdict.  qbinomial and
 qbinomial_ext wrap those dicts in a BiLaurent on each call; the lattice and
-supernomial sums pack them into ints (_PackedBinomials) and multiply those.
+supernomial sums multiply them as packed ints (see laurent).  A packed
+binomial depends only on (n, m) and the byte width, so _packed_binomials
+keeps one process-wide table per width, and each binomial is packed once
+per process and width, not once per sum.
 
 All functions are pure; the memo tables are written idempotently, so
 concurrent use (threads or forked workers) is safe.
@@ -30,6 +33,7 @@ __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
 
 _POCH: dict[int, BiLaurent] = {0: BiLaurent.one()}
 _EXT_QDICT: dict[tuple[int, int], dict] = {}
+_PACKED: dict[int, "_PackedBinomials"] = {}
 
 
 def qpochhammer(n: int) -> BiLaurent:
@@ -141,7 +145,8 @@ def _ext_qdict(n: int, m: int) -> dict:
 
 class _PackedBinomials(dict):
     """(n, m) -> qbinomial_ext(n, m) packed at one byte width (see laurent),
-    each packed on first use: the binomial memo of one packed sum."""
+    each packed on first use.  The caller picks a width at which every
+    coefficient of every binomial it looks up fits."""
 
     def __init__(self, width: int):
         super().__init__()
@@ -150,3 +155,11 @@ class _PackedBinomials(dict):
     def __missing__(self, key):
         f = self[key] = _pack(_ext_qdict(*key).values(), self.width)
         return f
+
+
+def _packed_binomials(width: int) -> _PackedBinomials:
+    """The process-wide table of binomials packed at `width` bytes."""
+    table = _PACKED.get(width)
+    if table is None:
+        table = _PACKED[width] = _PackedBinomials(width)
+    return table

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import BiLaurent, _unpack_qdict, _width
-from .qbinom import _PackedBinomials
+from .qbinom import _packed_binomials
 
 __all__ = [
     "SiteVector",
@@ -138,6 +138,8 @@ def supernomial(entries, a: int) -> BiLaurent:
     The sum is accumulated in one packed int (see laurent).  Every
     coefficient is nonnegative and at most the value at q = 1 summed over
     all a, prod_j (j+1)^(L_j), which fixes the byte width of the call.
+    The binomial factors come packed at that width from one process-wide
+    table (see qbinom), so each is packed once per process and width.
     """
     entries = _check_entries(entries)
     key = (entries, a)
@@ -172,17 +174,17 @@ def _compositions(entries: tuple[int, ...], a: int, width: int | None = None):
     (exponent, product of the composition's binomials) for each.
 
     With a byte width the product is a packed int (see laurent), folded
-    along the composition tree with each distinct binomial packed once;
-    without one it is the tuple ((top, bottom), ...).  Bounds follow the
-    vanishing of the binomial factors: n_k in [0, L_k], then n_{i} in
-    [0, L_i + n_{i+1}]."""
+    along the composition tree from the process-wide table of binomials
+    packed at that width, so each is packed once per process; without one
+    it is the tuple ((top, bottom), ...).  Bounds follow the vanishing of
+    the binomial factors: n_k in [0, L_k], then n_{i} in [0, L_i + n_{i+1}]."""
     k = len(entries)
     if a < 0 or a > _top(entries):
         return
     suffix = [0] * (k + 2)
     for i in range(k, 0, -1):
         suffix[i] = suffix[i + 1] + entries[i - 1]
-    packed = None if width is None else _PackedBinomials(width)
+    packed = None if width is None else _packed_binomials(width)
 
     def extend(factors, top, n):
         if packed is None:

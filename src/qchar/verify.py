@@ -48,6 +48,7 @@ from .supernomial import (
 )
 from .fermionic import (
     QuadraticData,
+    _site_data,
     coupling_matrix,
     fermionic_sum,
     lattice_sum,
@@ -140,19 +141,23 @@ def _site_params(p, d, plus, minus, levels) -> dict:
 
 def _site_cases(p_lo, p_hi, nmax, margin, max_d=None):
     """(p, d, plus, minus, levels) with nonnegative multiplicity vector;
-    plus ranges margin below 0 and above the total."""
+    plus ranges margin below 0 and above the total.  The multiplicity
+    vector depends only on the profile (levels, total), so each profile is
+    checked once, not once per plus."""
     for p in range(p_lo, p_hi + 1):
         d_hi = 2 * p - 3 if max_d is None else min(max_d, 2 * p - 3)
         for d in range(0, d_hi + 1):
             for total in range(nmax + 1):
-                for plus in range(-margin, total + margin + 1):
-                    minus = total - plus
+                kept = [
+                    levels
                     for levels in itertools.combinations_with_replacement(
                         range(total + 1), d
-                    ):
-                        site = SiteVector(p, plus, minus, levels)
-                        if all(v >= 0 for v in multiplicities(site)):
-                            yield (p, d, plus, minus, levels)
+                    )
+                    if min(multiplicities(SiteVector(p, total, 0, levels))) >= 0
+                ]
+                for plus in range(-margin, total + margin + 1):
+                    for levels in kept:
+                        yield (p, d, plus, total - plus, levels)
 
 
 @lru_cache(maxsize=1)
@@ -358,9 +363,7 @@ def _check_ta(case):
     p, d, plus, minus, levels = case
     site = SiteVector(p, plus, minus, levels)
     params = _site_params(*case)
-    data = QuadraticData(
-        coupling_matrix(p, d), standard_flow_vector(d + 2), (), ()
-    )
+    data = _site_data(p, d, (0,) * (d + 2))
     box = support_box(site)
     comps = site.components()
     vectors = lattice_support(data, comps, box)

@@ -1,8 +1,11 @@
 """CLI behavior: outputs, exit codes, determinism, reports, mutation."""
 
+import hashlib
+import itertools
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -11,7 +14,10 @@ import qchar.cli
 import qchar.verify as verify
 from qchar.cli import main
 from qchar.laurent import BiLaurent
+from qchar.supernomial import SiteVector, multiplicities
 from qchar.verify import REPORT_SCHEMA
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +207,26 @@ def test_verify_config_rejects_non_integer_values(capsys, tmp_path, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "identity, key", [("rec", "count"), ("rec", "amax"), ("rec", "entry_max"),
+                      ("ta", "margin")]
+)
+def test_verify_rejects_negative_sweep_options(capsys, tmp_path, source,
+                                               identity, key):
+    # each would otherwise run a smaller sweep and exit 0
+    if source == "flag":
+        argv = ["--" + key.replace("_", "-"), "-1"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: -1}))
+        argv = ["--config", str(config)]
+    code, out, err = run_cli(capsys, "verify", identity, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_corrupted_engine_is_caught(capsys, monkeypatch):
     # a deliberately wrong extended binomial must produce a counterexample
     real = verify._ext_qdict
@@ -347,6 +373,36 @@ def test_verify_pascal_negative_window_exits_2(capsys, window):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _site_cases_checking_every_candidate(p_lo, p_hi, nmax, margin, max_d=None):
+    for p in range(p_lo, p_hi + 1):
+        d_hi = 2 * p - 3 if max_d is None else min(max_d, 2 * p - 3)
+        for d in range(d_hi + 1):
+            for total in range(nmax + 1):
+                for plus in range(-margin, total + margin + 1):
+                    minus = total - plus
+                    for levels in itertools.combinations_with_replacement(
+                        range(total + 1), d
+                    ):
+                        site = SiteVector(p, plus, minus, levels)
+                        if all(v >= 0 for v in multiplicities(site)):
+                            yield (p, d, plus, minus, levels)
+
+
+@pytest.mark.parametrize("args", [(2, 4, 5, 2), (2, 3, 3, 1, 2)])
+def test_site_cases_match_a_check_of_every_candidate(args):
+    got = list(verify._site_cases(*args))
+    assert got == list(_site_cases_checking_every_candidate(*args))
+    assert len(got) > 100
+
+
+def test_verify_all_stdout_matches_recorded_digest(capsys):
+    # the determinism contract: default sweeps print the recorded bytes
+    expected = json.loads(EXPECTED.read_text())["verify-all"]["stdout_sha256"]
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_verify_tb_default_sweep_size(capsys):

@@ -9,6 +9,7 @@ from qchar.laurent import BiLaurent
 from qchar.fermionic import (
     NonFiniteSupportError,
     _leaves,
+    _site_data,
     QuadraticData,
     coupling_matrix,
     fermionic_sum,
@@ -69,6 +70,14 @@ def test_quadratic_data_validation():
         QuadraticData(((2,),), (1, 0))
     with pytest.raises(ValueError):
         QuadraticData(((2,),), (1,), (Fraction(1, 3),))
+
+
+def test_site_data_is_cached_and_still_validated():
+    data = _site_data(3, 1, (1, -1, 0))
+    assert data is _site_data(3, 1, (1, -1, 0))
+    assert data == QuadraticData(coupling_matrix(3, 1), (1, -1, 0), (), (1, -1, 0))
+    with pytest.raises(ValueError):
+        fermionic_sum(SiteVector(2, 1, 1), (0, 0, 0))  # w one entry too long
 
 
 def test_support_box_contains_small_square():

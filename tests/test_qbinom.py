@@ -1,13 +1,16 @@
 """q-Pochhammer, Gaussian binomials, and the extended coefficients."""
 
+import importlib
 import math
 import sys
 
 import pytest
 
 from qchar import qbinom
-from qchar.laurent import BiLaurent
+from qchar.fermionic import QuadraticData, _summands, fermionic_sum, lattice_sum
+from qchar.laurent import BiLaurent, _unpack_qdict
 from qchar.qbinom import ext_min_qexp, qbinomial, qbinomial_ext, qpochhammer
+from qchar.supernomial import SiteVector, _compositions, supernomial
 
 from oracles import gaussian_binomial_by_boxes, laurent_coeff_one_plus_inv_z
 
@@ -152,3 +155,45 @@ def test_ext_min_qexp_matches_polynomials():
                 assert bound is None
             else:
                 assert bound == poly.q_min()
+
+
+def test_each_binomial_is_packed_once_per_width(monkeypatch):
+    # two supernomials and one lattice sum at the same byte width share
+    # binomials; the process-wide table packs each (n, m) once
+    monkeypatch.setattr(qbinom, "_PACKED", {}, raising=False)
+    monkeypatch.setattr(importlib.import_module("qchar.supernomial"), "_SUP", {})
+    widths = []
+    real = qbinom._pack
+
+    def counting(vals, width):
+        widths.append(width)
+        return real(vals, width)
+
+    monkeypatch.setattr(qbinom, "_pack", counting)
+    data = QuadraticData(((1,),), (1,))
+    per_call = [
+        {pair for _, pairs in _compositions((2, 1), 2) for pair in pairs},
+        {pair for _, pairs in _compositions((2, 1), 3) for pair in pairs},
+        {(t, b) for (b,), _, _, (t,) in _summands(data, (3,), [(0, 3)])},
+    ]
+    supernomial((2, 1), 2)
+    supernomial((2, 1), 3)
+    assert lattice_sum(data, (3,), [(0, 3)]).at_q1_z1() == 8
+    distinct = set().union(*per_call)
+    # the three sums overlap, so packing per sum would pack some twice
+    assert sum(map(len, per_call)) > len(distinct)
+    assert set(widths) == {1}
+    assert len(widths) == len(distinct)
+
+
+def test_packed_tables_unpack_to_the_binomials():
+    supernomial((70,), 35)  # a 9-byte width
+    fermionic_sum(SiteVector(3, -2, 5, (2,)))  # reflected, signed factors
+    tables = qbinom._PACKED
+    assert 9 in tables
+    assert any(n < 0 for table in tables.values() for n, _ in table)
+    for width, table in tables.items():
+        assert table.width == width
+        for (n, m), value in table.items():
+            d = qbinom._ext_qdict(n, m)
+            assert _unpack_qdict(value, width, min(d)) == d
