@@ -9,7 +9,7 @@ no floating point is involved anywhere.  The building blocks:
                  two-branch extension to negative upper index
 * supernomial -- q-supernomial coefficients and the site-vector calculus
 * fermionic   -- quadratic-form lattice sums with certified finite support,
-                 and Gordon-type series with certified truncation
+                 and Gordon-type series truncated by a stopping rule
 * fusion      -- the fusion ring of Z/pZ (cyclic convolution) and
                  coinvariant dimension counts
 * characters  -- graded character formulas with exact fractional prefactors

@@ -27,6 +27,16 @@ these rows, so it yields exactly the summands in the box.
 For the coupling matrix of a SiteVector whose multiplicity vector is
 nonnegative, support_box computes a finite box that provably contains
 every nonzero summand, so the sum is an exact Laurent polynomial.
+
+Factoring.  Split n into the sign block n_S (the first two coordinates)
+and the level block n_L.  The factors and the exponent terms of the sign
+block see the level block only through y = n_L A_LS, and those of the
+level block see the sign block only through x = n_S A_SL.  So the
+summands with one (x, y) are all pairs of a sign part and a level part,
+and lattice_sum multiplies the two sums once per group instead of the
+factors once per summand.  In coupling_matrix the sign/level block has
+rank one: y is a multiple of sum_i (i+1) n_i and x of n_+ + n_-, the
+chain structure of Andrews' multiple-sum Gordon identities.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import add, mul, sub
 
 from .laurent import (
     BiLaurent,
@@ -140,12 +151,14 @@ class QuadraticData:
         return len(self.matrix)
 
     @classmethod
+    @lru_cache(maxsize=256)
     def for_site(cls, p: int, d: int, r: int = 0) -> "QuadraticData":
         """Coupling data of the weight-r coinvariant character: exponent
         shift v = (p/2-r-1)u and cutoff shift w = -r*u over the standard
         matrix.  (The sign of w follows the shifted balance conditions
         2N_+ - N_{d-1} - 2r and 2N_- - N_{d-1} + 2r, and is the one that
-        reproduces the weight-r dimension counts.)"""
+        reproduces the weight-r dimension counts.)  Built and validated
+        once per (p, d, r); the bound keeps the cache small."""
         u = standard_flow_vector(d + 2)
         shift = Fraction(p, 2) - r - 1
         return cls(
@@ -241,6 +254,90 @@ def _range(step, s, negs, n):
     return chain(range(lo, neg_hi + 1), range(hi + 1))
 
 
+def _steps(box, rows, eff, extended=True):
+    """The steps of the walk over a box, one per coordinate, last coordinate
+    first: (lo, hi, row, own, room, need) as _range reads them.  None when
+    a coordinate's range is empty; with extended=False the ranges start at 0.
+    need is read only below 0, so it is left None when no range reaches
+    below 0.
+    """
+    m = len(box)
+    steps = []
+    for i in range(m - 1, -1, -1):
+        lo, hi = box[i]
+        if not extended:
+            lo = max(lo, 0)  # an empty negative branch
+        if lo > hi:
+            return None
+        steps.append((lo, hi, rows[i], (rows[i][i] - 1, i)))
+    signed = any(step[0] < 0 for step in steps)
+    tmin = tmax = (0,) * m  # least / greatest contribution of the tail
+    for k in range(m - 1, -1, -1):
+        lo, hi, row, _ = steps[k]
+        lows = [c * lo for c in row]
+        highs = [c * hi for c in row]
+        need = None
+        if signed:
+            need = [e + 1 - t for e, t in zip(eff, tmax)]
+            tmax = list(map(add, tmax, map(max, lows, highs)))
+        steps[k] += (list(map(sub, eff, tmin)), need)
+        tmin = list(map(add, tmin, map(min, lows, highs)))
+    return steps
+
+
+def _walk(steps, n, s):
+    """Walk the coordinates of the steps in order, writing each value into
+    n, and yield (s, negs) at every leaf: s is the start sums plus the
+    walked coordinates' contribution to the rows, negs the walked
+    coordinates that are negative.  With no steps, yield (s, ()) once.
+    """
+    m = len(steps)
+    if m == 0:
+        yield s, ()
+        return
+    sums = [s] + [None] * (m - 1)  # partial sums of the rows per position
+    negs = [()] * m  # the walked negative coordinates per position
+    values = [iter(_range(steps[0], s, (), n))] + [None] * (m - 1)
+    last = m - 1
+    k = 0
+    while k >= 0:
+        _, _, row, (_, i), _, _ = steps[k]
+        for v in values[k]:
+            n[i] = v
+            s = [x + v * c for x, c in zip(sums[k], row)] if v else sums[k]
+            neg = negs[k] + (i,) if v < 0 else negs[k]
+            if k == last:
+                yield s, neg
+                continue
+            k += 1
+            sums[k] = s
+            negs[k] = neg
+            values[k] = iter(_range(steps[k], s, neg, n))
+            break
+        else:
+            n[i] = 0
+            k -= 1
+
+
+def _sign_leaves(steps, n, s, negs, out):
+    """Append (copy of n, s) to out at every leaf of the walk of two steps
+    that starts from the sums s and the negative coordinates negs: _walk
+    for the two sign coordinates below a leaf of the level block, without
+    the set-up of a generator."""
+    first, last = steps
+    i, j = first[3][1], last[3][1]
+    for v in _range(first, s, negs, n):
+        n[i] = v
+        s1 = [x + v * c for x, c in zip(s, first[2])] if v else s
+        neg = negs + (i,) if v < 0 else negs
+        for w in _range(last, s1, neg, n):
+            n[j] = w
+            s0 = [x + w * c for x, c in zip(s1, last[2])] if w else s1
+            out.append((n[:], s0))
+        n[j] = 0
+    n[i] = 0
+
+
 def _leaves(box, rows, eff, extended=True):
     """Yield (n, nA) for every n in the box whose summand has no vanishing
     factor; with extended=False, only n >= 0.
@@ -254,50 +351,12 @@ def _leaves(box, rows, eff, extended=True):
     summand.  The walk is iterative and takes the coordinates last to
     first, which puts the levels of a coupling matrix before the signs.
     """
-    m = len(box)
-    if m == 0:
-        yield (), ()
+    steps = _steps(box, rows, eff, extended)
+    if steps is None:
         return
-    order = range(m - 1, -1, -1)
-    steps = []
-    for i in order:
-        lo, hi = box[i]
-        if not extended:
-            lo = max(lo, 0)  # an empty negative branch
-        if lo > hi:
-            return
-        steps.append((lo, hi, rows[i], (rows[i][i] - 1, i)))
-    tmin = tmax = (0,) * m  # least / greatest contribution of the tail
-    for k in range(m - 1, -1, -1):
-        lo, hi, row, _ = steps[k]
-        steps[k] += ([e - t for e, t in zip(eff, tmin)],
-                     [e + 1 - t for e, t in zip(eff, tmax)])
-        tmin = [t + (c * lo if c > 0 else c * hi) for t, c in zip(tmin, row)]
-        tmax = [t + (c * hi if c > 0 else c * lo) for t, c in zip(tmax, row)]
-    n = [0] * m
-    sums = [[0] * m] + [None] * (m - 1)  # partial sums of nA per position
-    negs = [()] * m  # the fixed negative coordinates per position
-    values = [iter(_range(steps[0], sums[0], (), n))] + [None] * (m - 1)
-    last = m - 1
-    k = 0
-    while k >= 0:
-        i = order[k]
-        row = steps[k][2]
-        for v in values[k]:
-            n[i] = v
-            s = [x + v * c for x, c in zip(sums[k], row)] if v else sums[k]
-            if k == last:
-                yield tuple(n), tuple(s)
-                continue
-            neg = negs[k] + (i,) if v < 0 else negs[k]
-            k += 1
-            sums[k] = s
-            negs[k] = neg
-            values[k] = iter(_range(steps[k], s, neg, n))
-            break
-        else:
-            n[i] = 0
-            k -= 1
+    n = [0] * len(box)
+    for s, _ in _walk(steps, n, [0] * len(box)):
+        yield tuple(n), tuple(s)
 
 
 def _summands(data: QuadraticData, nvec, box, extended=True):
@@ -308,10 +367,7 @@ def _summands(data: QuadraticData, nvec, box, extended=True):
     support and the sign rule, so every vector it yields is a summand.
     """
     m = data.size
-    nvec = tuple(nvec)
-    if len(nvec) != m:
-        raise ValueError("site vector length must match the matrix size")
-    eff = tuple(nvec[a] + data.w[a] for a in range(m))
+    eff = _eff(data, nvec)
     u = data.u
     v2 = tuple(int(2 * x) for x in data.v)
     for n, s in _leaves(box, data.matrix, eff, extended):
@@ -319,6 +375,125 @@ def _summands(data: QuadraticData, nvec, box, extended=True):
         e2 = sum(n[a] * (s[a] + v2[a]) for a in range(m))
         zdeg = sum(u[a] * n[a] for a in range(m))
         yield n, zdeg, e2, tops
+
+
+def _eff(data: QuadraticData, nvec) -> list:
+    """N + w, the cutoffs the rows of the support rule compare with."""
+    nvec = tuple(nvec)
+    if len(nvec) != data.size:
+        raise ValueError("site vector length must match the matrix size")
+    return [x + w for x, w in zip(nvec, data.w)]
+
+
+def _factor_data(tops, bottoms, e2):
+    """(e2 & 1, least integer exponent, |value at q = 1|) of q^(e2/2) times
+    the product of the nonzero binomials [t choose b].  The least exponent
+    adds ext_min_qexp's, which is 0 for every standard binomial; the value
+    at q = 1 of a factor is the sum of its absolute coefficients, comb(t, b),
+    or comb(-b-1, t-b) when it is reflected."""
+    if min(bottoms, default=0) >= 0:
+        return e2 & 1, e2 >> 1, math.prod(map(math.comb, tops, bottoms))
+    lo = e2 >> 1
+    bound = 1
+    for t, b in zip(tops, bottoms):
+        if b < 0:
+            lo += ext_min_qexp(t, b)
+            bound *= math.comb(-b - 1, t - b)
+        else:
+            bound *= math.comb(t, b)
+    return e2 & 1, lo, bound
+
+
+# lattice_sum keeps up to this many summands of a sum in groups of one
+# before it groups the rest: grouping has a fixed cost per sign tail and
+# per group that a small sum does not win back.  Measured per call on the
+# lattice sums of `qchar verify all`, `verify char-eq --entry-max 6` and
+# `verify tb --nmax 7` (2 vCPUs, Python 3.11.7), grouping from the first
+# summand took 1.21-1.23x the time of no grouping at 4-7 summands,
+# 1.07-1.08x at 12-15, 0.98x at 16-23, 0.93-0.94x at 24-31 and 0.63x at
+# 128-511.
+_FACTOR_MIN = 16
+
+
+def _groups(data, eff, v2, steps):
+    """The summands in the walk of the steps, as groups (sign vectors,
+    level sums): every sign vector of a group pairs with every level part
+    of its level sums.
+
+    The level block (all but the first two coordinates) is walked once.
+    Until the sum has more than _FACTOR_MIN summands, each leaf of that walk
+    walks its own sign vectors with every row, and each summand is a group
+    of its own, n paired with an empty level part.  The later leaves are
+    grouped by the cross contributions (x, y) of the sign and the level
+    block: the sign vectors at each y are walked once, with the sign rows
+    alone, and grouped by x, and each leaf adds its level part
+    z^(u.n) q^(e2/2) times its binomials to the level sum of each x group
+    its own rows allow, keyed by (z-degree, e2 & 1).  A level sum is
+    [least exponent, |value at q = 1|, [(exponent, pairs)], packed value
+    or None].
+    """
+    m = len(steps)
+    ns = 2
+    n = [0] * m
+    leaves = []
+    # the summands one by one, each paired with the empty level part:
+    # exponent 0, value 1 at q = 1, no binomials
+    groups = [(leaves, {(0, 0): [0, 1, [(0, ())], None]})]
+    if m <= ns:  # no level block
+        leaves += [(n[:], s) for s, _ in _walk(steps, n, [0] * m)]
+        return groups
+    walk = _walk(steps[: m - ns], n, [0] * m)
+    sign_steps = steps[m - ns:]
+    for s, negs in walk:
+        _sign_leaves(sign_steps, n, s, negs, leaves)
+        if len(leaves) > _FACTOR_MIN:
+            break
+    else:
+        return groups
+    rows, u = data.matrix, data.u
+    eff_l, u_l, v2_l = eff[ns:], u[ns:], v2[ns:]
+    cross = list(zip(*[row[ns:] for row in rows[:ns]]))  # A_LS, row by row
+    cut = [(lo, hi, row[:ns], own, room[:ns], need and need[:ns])
+           for lo, hi, row, own, room, need in sign_steps]  # sign rows only
+    tails: dict = {}  # y -> {x: (sign vectors, {(z-degree, e2 & 1): level sum})}
+    for s, negs in walk:
+        y = tuple(s[:ns])
+        tail = tails.get(y)
+        if tail is None:
+            tail = tails[y] = {}
+            signs = []
+            _sign_leaves(cut, n, list(y), (), signs)
+            for n_s, s_s in signs:
+                n_s = n_s[:ns]
+                x = tuple([sum(map(mul, row, n_s)) for row in cross])
+                group = tail.get(x)
+                if group is None:
+                    group = tail[x] = ([], {})
+                group[0].append((n_s, s_s))
+        n_l = n[ns:]
+        s_l = s[ns:]
+        room = [e + b - t for e, b, t in zip(eff_l, n_l, s_l)]
+        z_l = sum(map(mul, u_l, n_l))
+        e2_l = sum(map(mul, n_l, map(add, s_l, v2_l)))
+        for x, group in tail.items():
+            tops = list(map(sub, room, x))  # eff + n - nA at this x
+            if negs:  # b <= t, and t < 0 for every negative bottom b
+                if any(b > t or t >= 0 > b for t, b in zip(tops, n_l)):
+                    continue
+            elif min(map(sub, tops, n_l)) < 0:
+                continue
+            e2 = e2_l + sum(map(mul, n_l, x))
+            par, lo, bound = _factor_data(tops, n_l, e2)
+            key = (z_l, par)
+            level = group[1].get(key)
+            if level is None:
+                level = group[1][key] = [lo, 0, [], None]
+            elif lo < level[0]:
+                level[0] = lo
+            level[1] += bound
+            level[2].append((lo, tuple(zip(tops, n_l))))
+    groups += [g for tail in tails.values() for g in tail.values() if g[1]]
+    return groups
 
 
 def lattice_sum(
@@ -333,48 +508,89 @@ def lattice_sum(
     """Evaluate the lattice sum over an explicit finite box.
 
     With extended=False the factors are standard Gaussian binomials, so
-    negative bottoms vanish.  The sum is accumulated in packed ints (see
-    laurent), one per part (z-degree, e2 & 1), at one byte width.  A first
-    pass keeps the surviving summands and the least exponent of each part,
-    and sums over them the product of their factors' absolute coefficient
-    sums, which bounds every coefficient and fixes the width.  The second
-    pass packs each distinct binomial once and adds each product into its
-    part at its exponent.
+    negative bottoms vanish.
+
+    The sum factors through the coupling of the first two coordinates, the
+    sign block S, with the rest, the level block L.  The factors of S
+    depend on n only through n_S and y = n_L A_LS, those of L only through
+    n_L and x = n_S A_SL, and twice the exponent splits as
+    e2 = e2_S(n_S, y) + e2_L(n_L, x), each half holding the cross term
+    n_S.y = n_L.x once.  So the summands with one key (x, y) are exactly
+    the pairs of a sign part (n_S at y) and a level part (n_L at x), and
+
+        lattice_sum = sum over (x, y) of (sum of sign parts) * (sum of level parts).
+
+    For a coupling matrix y = (S, S) with S = sum_i (i+1) n_i, and
+    x_i = (i+1)(n_+ + n_-).  The split is exact for every matrix; at worst
+    each group holds one summand.  _groups forms the groups from one walk
+    of the level block; until a sum has more than _FACTOR_MIN summands it
+    keeps them in groups of one, since grouping costs more than it saves
+    on a small sum.  Within a group the level parts are summed per
+    (z-degree, e2 & 1), and each sign part is multiplied by each of those
+    sums once.
+
+    The sum is accumulated in packed ints (see laurent), one per part
+    (z-degree, e2 & 1), at one byte width.  Every coefficient is at most
+    the sum over the summands of the product of their factors' absolute
+    coefficient sums, which fixes the width; a group adds (sign total)
+    times (level total), so the bound is the one a summand-by-summand sum
+    gives.  Each binomial, sign part and level sum is packed or multiplied
+    once.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
-    zwin, exactly.  A summand is skipped only when its z-degree lies outside
-    zwin or the closed-form lowest exponents of its factors (ext_min_qexp)
-    already put it above qmax.  Other products are added whole, and each
-    part is cut at qmax once, when it is unpacked.
+    zwin, exactly.  A product of a sign part and a level sum is skipped
+    only when its z-degree lies outside zwin or the closed-form lowest
+    exponents of its factors (ext_min_qexp) already put it above qmax.
+    Other products are added whole, and each part is cut at qmax once,
+    when it is unpacked.
     """
-    survivors = []
+    eff = _eff(data, nvec)
+    steps = _steps(box, data.matrix, eff, extended)
+    if steps is None:
+        return BiLaurent.zero()
+    v2 = [int(2 * x) for x in data.v]
+    groups = _groups(data, eff, v2, steps)
+    u = data.u
+    # pair every sign part of a group with each of its level sums
     base: dict = {}  # least exponent of each part
     bound = 0
-    for n, zdeg, e2, tops in _summands(data, nvec, box, extended):
-        if zwin is not None and abs(zdeg) > zwin:
-            continue
-        pairs = tuple(zip(tops, n))
-        lo = sum(ext_min_qexp(t, b) for t, b in pairs)
-        # an int s has s <= qmax - e2/2 exactly when s <= (2*qmax - e2) // 2
-        if qmax is not None and lo > (2 * qmax - e2) // 2:
-            continue
-        key = (zdeg, e2 & 1)
-        lo += e2 >> 1
-        if base.get(key, lo) >= lo:
-            base[key] = lo
-        # |value at q = 1| of each factor, the sum of its absolute
-        # coefficients: comb(t, b), or comb(-b-1, -t-1) when reflected
-        bound += math.prod(
-            [math.comb(t if t >= 0 else -b - 1, t - b) for t, b in pairs]
-        )
-        survivors.append((key, lo, pairs))
+    products = []
+    for signs, levels in groups:
+        for n_s, s_s in signs:
+            tops = [e + b - t for e, b, t in zip(eff, n_s, s_s)]
+            e2 = sum(map(mul, n_s, map(add, s_s, v2)))
+            par_s, lo_s, bound_s = _factor_data(tops, n_s, e2)
+            z_s = sum(map(mul, u, n_s))
+            sign = [tuple(zip(tops, n_s)), None]
+            for (z_l, par_l), level in levels.items():
+                zdeg = z_s + z_l
+                if zwin is not None and abs(zdeg) > zwin:
+                    continue
+                par = par_s ^ par_l
+                lo = lo_s + level[0] + (par_s & par_l)
+                # an int s has s <= qmax - par/2 iff s <= (2*qmax - par) // 2
+                if qmax is not None and lo > (2 * qmax - par) // 2:
+                    continue
+                key = (zdeg, par)
+                if base.get(key, lo) >= lo:
+                    base[key] = lo
+                bound += bound_s * level[1]
+                products.append((key, lo, sign, level))
     width = _width(bound)
     bits = 8 * width
     packed = _packed_binomials(width)
     parts: dict = {}
-    for key, lo, pairs in survivors:
-        prod = math.prod([packed[pair] for pair in pairs])
-        parts[key] = parts.get(key, 0) + (prod << bits * (lo - base[key]))
+    for key, lo, sign, level in products:
+        if sign[1] is None:
+            sign[1] = math.prod([packed[pair] for pair in sign[0]])
+        if level[3] is None:
+            low = level[0]
+            level[3] = sum(
+                math.prod([packed[pair] for pair in pairs]) << bits * (e - low)
+                for e, pairs in level[2]
+            )
+        prod = sign[1] * level[3] << bits * (lo - base[key])
+        parts[key] = parts.get(key, 0) + prod
     acc = {}
     for key, value in parts.items():
         cap = None if qmax is None else (2 * qmax - key[1]) // 2
@@ -416,9 +632,11 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     weights 1/(q)_{n_a} over n >= 0, truncated to q-degree <= qmax and
     |z-degree| <= zwin.
 
-    The truncation is certified: enumeration stops only after a full shell
-    of constant |n| has minimal exponent beyond qmax, and the next shell is
-    checked as well.
+    The truncation rests on a stopping rule, not on a proof: the shells of
+    constant |n|_1 are scanned in order, and the scan stops after two
+    shells in a row whose least exponent exceeds qmax.  A summand beyond
+    them with exponent <= qmax would be missed; none is known.  After
+    max_shell shells without two clear ones it raises RuntimeError.
     """
     if not 0 <= d <= p - 1:
         raise ValueError("need 0 <= d <= p-1")

@@ -141,31 +141,30 @@ def supernomial(entries, a: int) -> BiLaurent:
     The binomial factors come packed at that width from one process-wide
     table (see qbinom), so each is packed once per process and width.
     """
-    entries = _check_entries(entries)
-    key = (entries, a)
-    poly = _SUP.get(key)
+    # every stored key was validated when it was stored
+    poly = _SUP.get((tuple(entries), a))
     if poly is None:
+        entries = _check_entries(entries)
         width = _width(math.prod((j + 1) ** v for j, v in enumerate(entries, 1)))
         acc = 0
         for exp, value in _compositions(entries, a, width):
             acc += value << 8 * width * exp
         poly = BiLaurent.from_qdict(_unpack_qdict(acc, width, 0))
-        _SUP[key] = poly
+        _SUP[entries, a] = poly
     return poly
 
 
 def supernomial_at1(entries, a: int) -> int:
     """The supernomial evaluated at q = 1: the coefficient of x^a in
     prod_j (1 + x + ... + x^j)^(L_j)."""
-    entries = _check_entries(entries)
-    key = (entries, a)
-    val = _SUP1.get(key)
+    val = _SUP1.get((tuple(entries), a))
     if val is None:
+        entries = _check_entries(entries)
         val = sum(
             math.prod([math.comb(top, bot) for top, bot in pairs])
             for _, pairs in _compositions(entries, a)
         )
-        _SUP1[key] = val
+        _SUP1[entries, a] = val
     return val
 
 

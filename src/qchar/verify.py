@@ -167,19 +167,27 @@ def _site_case_list(p_lo, p_hi, nmax, margin):
     return tuple(_site_cases(p_lo, p_hi, nmax, margin))
 
 
+@lru_cache(maxsize=1)
 def _full_site_cases(p_lo, p_hi, entry_max):
     """(p, r, plus, minus, levels) over full sites (d = p-1) with every
-    component in [0, entry_max] and nonnegative multiplicities."""
+    component in [0, entry_max] and nonnegative multiplicities, as a tuple
+    built once for char-eq, flow and dims, which sweep the same sites.  The
+    multiplicity vector depends only on the profile (levels, plus + minus),
+    so each profile is checked once, not once per (plus, minus)."""
+    cases = []
     for p in range(p_lo, p_hi + 1):
+        candidates = list(itertools.combinations_with_replacement(
+            range(entry_max + 1), p - 1))
+        kept = [
+            [levels for levels in candidates
+             if min(multiplicities(SiteVector(p, total, 0, levels))) >= 0]
+            for total in range(2 * entry_max + 1)
+        ]
         for plus in range(entry_max + 1):
             for minus in range(entry_max + 1):
-                for levels in itertools.combinations_with_replacement(
-                    range(entry_max + 1), p - 1
-                ):
-                    site = SiteVector(p, plus, minus, levels)
-                    if all(v >= 0 for v in multiplicities(site)):
-                        for r in range(p):
-                            yield (p, r, plus, minus, levels)
+                for levels in kept[plus + minus]:
+                    cases.extend((p, r, plus, minus, levels) for r in range(p))
+    return tuple(cases)
 
 
 def _is_balanced(p, d, plus, minus, levels):
@@ -510,12 +518,9 @@ def _check_rec(case):
 
 
 def _cases_chareq(opts):
-    cases = [("full",) + c for c in _full_site_cases(
-        opts["p_lo"], opts["p_hi"], opts["entry_max"]
-    )]
-    for p, r, plus, minus, levels in _full_site_cases(
-        opts["p_lo"], opts["p_hi"], opts["entry_max"]
-    ):
+    full = _full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"])
+    cases = [("full",) + c for c in full]
+    for p, r, plus, minus, levels in full:
         total = plus + minus
         for d in range(p - 1):
             if all(x == total for x in levels[d:]):
@@ -543,7 +548,7 @@ def _check_chareq(case):
 
 
 def _cases_flow(opts):
-    return list(_full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"]))
+    return _full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"])
 
 
 def _check_flow(case):
@@ -560,7 +565,7 @@ def _check_flow(case):
 
 
 def _cases_dims(opts):
-    return list(_full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"]))
+    return _full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"])
 
 
 def _check_dims(case):

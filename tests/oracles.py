@@ -142,3 +142,41 @@ def lattice_support_brute(matrix, eff, box, extended: bool) -> list[tuple]:
         else:
             out.append(n)
     return out
+
+
+def ext_binomial_brute(t: int, b: int) -> dict[int, int]:
+    """The extended q-binomial [t choose b] as {exponent: coefficient}: the
+    box-partition count for t >= 0, and for b <= t < 0 the reflection
+    (-1)^(t-b) q^(-((t-b)^2 + (t-b))/2) [-b-1 choose -t-1](1/q)."""
+    if t >= 0:
+        return gaussian_binomial_by_boxes(t, b)
+    if b > t:
+        return {}
+    d = t - b
+    sign = -1 if d % 2 else 1
+    shift = -((d * d + d) // 2)
+    reflected = gaussian_binomial_by_boxes(-b - 1, -t - 1)
+    return {shift - e: sign * c for e, c in reflected.items()}
+
+
+def lattice_sum_brute(matrix, u, v, eff, box, extended: bool) -> dict:
+    """The lattice sum as {(q_exp, z_exp): coeff}, one summand at a time
+    over lattice_support_brute: z^(u.n) q^(nAn/2 + v.n) times the product
+    of the binomials [t_a choose n_a], t = eff + n - nA, multiplied out by
+    poly_mul_brute.  q exponents are Fractions."""
+    m = len(matrix)
+    out: dict = {}
+    for n in lattice_support_brute(matrix, eff, box, extended):
+        s = [sum(n[b] * matrix[b][a] for b in range(m)) for a in range(m)]
+        qexp = Fraction(sum(map(operator.mul, n, s)), 2) + sum(
+            Fraction(x) * b for x, b in zip(v, n)
+        )
+        zexp = sum(map(operator.mul, u, n))
+        poly = {0: 1}
+        for a in range(m):
+            factor = ext_binomial_brute(eff[a] + n[a] - s[a], n[a])
+            poly = poly_mul_brute(poly, factor)
+        for e, c in poly.items():
+            key = (qexp + e, zexp)
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}

@@ -1,6 +1,9 @@
 """Character formulas: prefactors, route equality, flow, stabilization."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +23,12 @@ from qchar.fermionic import (
     lattice_sum,
 )
 from qchar.fusion import decompose_site, fusion_dims
+from qchar.qbinom import qbinomial
 from qchar.supernomial import SiteVector, multiplicities
 
 from oracles import monotone_levels
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def qz(*triples):
@@ -205,3 +211,22 @@ def test_large_cutoff_matches_gordon_truncation():
     data = QuadraticData(coupling_matrix(2, 0), (1, -1))
     value = lattice_character(data, (10, 10), qmax=4, zwin=4)
     assert value == gordon_series(2, 0, 0, 4, 4)
+
+
+@pytest.mark.parametrize("theta", [-4, 0, 4])
+def test_coinv_p4_results_match_recorded_digests(theta):
+    # the coinv-p4 benchmark body and its payload serialization: both
+    # character routes at L = (5, 5, 5, 5) for r = 0..3, and qbinomial(90, 45)
+    site = SiteVector(4, 25 + theta, 25 - theta, (20, 35, 45))
+    pairs = [
+        (coinv_char_fermionic(r, site), coinv_char_supernomial(r, site))
+        for r in range(4)
+    ]
+    assert all(f == s for f, s in pairs)
+    payload = json.dumps(
+        [[f.normalized().to_json_obj() for f, _ in pairs],
+         qbinomial(90, 45).to_json_obj()],
+        sort_keys=True,
+    )
+    expected = json.loads(EXPECTED.read_text())["coinv-p4"]["sha256_by_theta"]
+    assert hashlib.sha256(payload.encode()).hexdigest() == expected[str(theta)]

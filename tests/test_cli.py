@@ -397,6 +397,26 @@ def test_site_cases_match_a_check_of_every_candidate(args):
     assert len(got) > 100
 
 
+def _full_site_cases_checking_every_candidate(p_lo, p_hi, entry_max):
+    for p in range(p_lo, p_hi + 1):
+        for plus in range(entry_max + 1):
+            for minus in range(entry_max + 1):
+                for levels in itertools.combinations_with_replacement(
+                    range(entry_max + 1), p - 1
+                ):
+                    site = SiteVector(p, plus, minus, levels)
+                    if all(v >= 0 for v in multiplicities(site)):
+                        for r in range(p):
+                            yield (p, r, plus, minus, levels)
+
+
+@pytest.mark.parametrize("args", [(2, 3, 4), (3, 4, 3)])
+def test_full_site_cases_match_a_check_of_every_candidate(args):
+    got = verify._full_site_cases(*args)
+    assert got == tuple(_full_site_cases_checking_every_candidate(*args))
+    assert len(got) > 100
+
+
 def test_verify_all_stdout_matches_recorded_digest(capsys):
     # the determinism contract: default sweeps print the recorded bytes
     expected = json.loads(EXPECTED.read_text())["verify-all"]["stdout_sha256"]

@@ -1,10 +1,13 @@
 """Coupling matrices, support boxes, lattice sums, Gordon series."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import fermionic
 from qchar.laurent import BiLaurent
 from qchar.fermionic import (
     NonFiniteSupportError,
@@ -23,7 +26,7 @@ from qchar.qbinom import qbinomial_ext
 from qchar.supernomial import SiteVector
 from qchar.verify import _cases_rec_diag, _site_cases
 
-from oracles import lattice_support_brute
+from oracles import lattice_sum_brute, lattice_support_brute
 
 
 HALF = Fraction(1, 2)
@@ -73,11 +76,19 @@ def test_quadratic_data_validation():
 
 
 def test_site_data_is_cached_and_still_validated():
-    data = _site_data(3, 1, (1, -1, 0))
-    assert data is _site_data(3, 1, (1, -1, 0))
-    assert data == QuadraticData(coupling_matrix(3, 1), (1, -1, 0), (), (1, -1, 0))
+    matrix, u = coupling_matrix(3, 1), (1, -1, 0)
+    for build, args, want in [
+        (_site_data, (3, 1, (1, -1, 0)), QuadraticData(matrix, u, (), (1, -1, 0))),
+        (QuadraticData.for_site, (3, 1, 2),
+         QuadraticData(matrix, u, (-3 * HALF, 3 * HALF, 0), (-2, 2, 0))),
+    ]:
+        data = build(*args)
+        assert data is build(*args)
+        assert data == want
     with pytest.raises(ValueError):
         fermionic_sum(SiteVector(2, 1, 1), (0, 0, 0))  # w one entry too long
+    with pytest.raises(ValueError):
+        QuadraticData.for_site(1, 0, 0)  # p < 2
 
 
 def test_support_box_contains_small_square():
@@ -173,6 +184,61 @@ def test_leaves_match_brute_oracle(system, extended):
                           for a in range(len(n)))
 
 
+@st.composite
+def _lattice_inputs(draw):
+    # bottoms stay in [-2, 3], so every oracle binomial is a small box count
+    m = draw(st.sampled_from((3, 4, 1, 2, 3, 4)))
+    coupling = {2: [(2, 0)], 3: [(2, 1), (3, 1)], 4: [(3, 2), (4, 2)]}.get(m, [])
+    if coupling and draw(st.booleans()):
+        matrix = coupling_matrix(*draw(st.sampled_from(coupling)))
+    else:
+        # a zero sign/level block puts every summand into one group
+        zero = draw(st.booleans())
+        upper = {
+            (i, j): 0 if zero and i < 2 <= j else draw(st.integers(-3, 3))
+            for i in range(m) for j in range(i, m)
+        }
+        matrix = tuple(
+            tuple(upper[min(i, j), max(i, j)] for j in range(m)) for i in range(m)
+        )
+    small = st.integers(-2, 2)
+    u = tuple(draw(small) for _ in range(m))
+    if draw(st.booleans()):  # z from the signs alone, as for a coupling matrix
+        u = u[:2] + (0,) * (m - 2)
+    v = tuple(draw(small) * HALF for _ in range(m))
+    w = tuple(draw(small) for _ in range(m))
+    nvec = tuple(draw(st.integers(0, 14)) for _ in range(m))
+    box = []
+    for _ in range(m):
+        lo = draw(st.integers(-2, 1))
+        box.append((lo, draw(st.integers(lo, 3))))
+    qmax = draw(st.none() | st.integers(-6, 12).map(lambda k: k * HALF))
+    zwin = draw(st.none() | st.integers(0, 3))
+    return QuadraticData(matrix, u, v, w), nvec, box, qmax, zwin
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_lattice_inputs(), st.booleans())
+def test_lattice_sum_matches_brute_oracle(inputs, extended):
+    # the lattice sum against a plain sum of its summands, on coupling and
+    # arbitrary symmetric matrices, with and without truncation
+    data, nvec, box, qmax, zwin = inputs
+    eff = [x + w for x, w in zip(nvec, data.w)]
+    want = {
+        (q, z): c
+        for (q, z), c in lattice_sum_brute(
+            data.matrix, data.u, data.v, eff, box, extended
+        ).items()
+        if (qmax is None or q <= qmax) and (zwin is None or abs(z) <= zwin)
+    }
+    got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin, extended=extended)
+    assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
+    # grouped from the first summand on, which these small sums do not reach
+    with mock.patch.object(fermionic, "_FACTOR_MIN", 0, create=True):
+        got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin, extended=extended)
+    assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
+
+
 def test_every_leaf_is_a_summand_on_the_tb_sweep():
     # no vector the enumerator yields may have a vanishing factor
     for p, d, plus, minus, levels in _site_cases(2, 4, 5, 2):
@@ -196,6 +262,7 @@ def test_fermionic_sum_small_values():
 def test_lattice_sum_one_by_one():
     data = QuadraticData(((2,),), (1,))
     assert lattice_sum(data, (2,), [(-4, 4)]) == qz((0, 0, 1), (1, 1, 1))
+    assert lattice_sum(data, (2,), [(1, 0)]) == 0  # an empty box
 
 
 def test_lattice_sum_agrees_with_fermionic_wrapper():
@@ -278,6 +345,17 @@ def test_lattice_sum_coefficient_at_width_edge():
     data = QuadraticData(((0,),), (0,))
     for size in (127, 128, 32768):
         assert lattice_sum(data, (0,), [(0, size - 1)]) == size
+    # one group of sign parts times level parts, each side counted in full
+    data = QuadraticData(((0, 0, 0),) * 3, (0, 0, 0))
+    for box in ([(0, 0), (0, 0), (0, 126)], [(0, 0), (0, 1), (0, 63)],
+                [(0, 7), (0, 0), (0, 15)]):
+        size = math.prod(hi + 1 for _, hi in box)
+        assert lattice_sum(data, (0, 0, 0), box) == size
+    # a sign part [16 choose 8] times 128 level parts 1: the middle
+    # coefficients pass 2^15 only because the sign part's value counts
+    wide = lattice_sum(data, (8, 0, 0), [(8, 8), (0, 0), (0, 127)])
+    assert wide == qbinomial_ext(16, 8) * 128
+    assert max(c for *_, c in wide.terms()) >= 2**15
 
 
 def test_fermionic_sum_cutoff_shift_matches_shifted_site():
