@@ -53,7 +53,6 @@ from .characters import (
     CharacterValue,
     coinv_char_fermionic,
     coinv_char_supernomial,
-    lattice_character,
     rep_character,
     spectral_flow_check,
     supernomial_char_poly,
@@ -80,7 +79,6 @@ __all__ = [
     "fuse",
     "fusion_dims",
     "gordon_series",
-    "lattice_character",
     "lattice_sum",
     "lattice_support",
     "multiplicities",

@@ -15,20 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laurent import BiLaurent, bounded_partition_counts, norm_exp
-from .fermionic import (
-    QuadraticData,
-    coupling_matrix,
-    lattice_sum,
-    standard_flow_vector,
-    support_box,
-)
+from .fermionic import QuadraticData, lattice_sum, support_box
 from .supernomial import SiteVector, multiplicities, supernomial_lattice_side
 
 __all__ = [
     "CharacterValue",
     "coinv_char_fermionic",
     "coinv_char_supernomial",
-    "lattice_character",
     "rep_character",
     "spectral_flow_check",
     "supernomial_char_poly",
@@ -177,43 +170,3 @@ def spectral_flow_check(p: int, r: int, site: SiteVector):
         "lhs": lhs.to_json_obj(),
         "rhs": rhs.to_json_obj(),
     }
-
-
-def _detect_family(data: QuadraticData):
-    """Recognize the standard coupling family; returns (p, d) or None."""
-    size = data.size
-    d = size - 2
-    if d < 0:
-        return None
-    p = data.matrix[0][0]
-    if p < 2 or d > 2 * p - 3:
-        return None
-    if data.matrix != coupling_matrix(p, d):
-        return None
-    if data.u != standard_flow_vector(size):
-        return None
-    return p, d
-
-
-def lattice_character(
-    data: QuadraticData,
-    nvec,
-    box=None,
-    *,
-    qmax=None,
-    zwin=None,
-) -> BiLaurent:
-    """Character of the coinvariant space cut out by an arbitrary symmetric
-    coupling matrix: delegates to lattice_sum over a finite box (supplied, or
-    certified when the data matches the standard coupling family), truncated
-    at qmax / zwin.  The cutoff-free Gordon-type series of the standard
-    family is gordon_series.
-    """
-    if box is None:
-        fam = _detect_family(data)
-        if fam is None:
-            raise ValueError("finite enumeration box required")
-        p, _ = fam
-        site = SiteVector(p, nvec[0], nvec[1], tuple(nvec[2:]))
-        box = support_box(site, data.w)
-    return lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)

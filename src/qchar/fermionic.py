@@ -53,7 +53,7 @@ from .laurent import (
     bounded_partition_counts,
     norm_exp,
     _half_iadd,
-    _qdict_prod,
+    _pack,
     _unpack_qdict,
     _width,
 )
@@ -668,11 +668,10 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
             if abs(zdeg) > zwin:
                 continue
             room = (2 * qmax - e2) // 2
-            factors = [
-                {j: c for j, c in enumerate(bounded_partition_counts(na, room)) if c}
-                for na in n
-            ]
-            _half_iadd(acc, zdeg, e2, _qdict_prod(factors, room))
+            counts = [bounded_partition_counts(na, room) for na in n]
+            width = _width(math.prod(map(sum, counts)))
+            value = math.prod([_pack(c, width) for c in counts])
+            _half_iadd(acc, zdeg, e2, _unpack_qdict(value, width, 0, room))
         if shell_min is not None and shell_min > 2 * qmax:
             clear_shells += 1
         else:

@@ -27,15 +27,14 @@ of the sum is unpacked once, at the end.  A bound on the final coefficients
 fixes w with every |c_k| < 2^(8w-1), so each digit reads back exactly,
 whatever its sign.  Lattice exponents lie in (1/2)Z and are carried doubled,
 as an int e2, with one part per (z-degree, e2 & 1), which
-`BiLaurent._from_halves` joins.  `_qdict_mul` and `_qdict_prod` multiply
-dicts with a schoolbook loop below _KRONECKER_MIN coefficient products and
-with the same packing from there on.
+`BiLaurent._from_halves` joins.  Every product of the engine is packed;
+`_qdict_mul` is the schoolbook product of two dicts for the small products
+of `verify`'s checks.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from array import array
 from fractions import Fraction
@@ -394,23 +393,11 @@ def bounded_partition_counts(parts: int, max_deg: int) -> tuple[int, ...]:
 # A product of int-keyed qdicts is int-keyed and stores no zero value, so
 # two results compare equal exactly when the polynomials do.
 
-# Below this many coefficient products (the product of the factors' term
-# counts) a schoolbook loop beats packing into big ints.  Measured with
-# CPython 3.11.7 on a 2-vCPU x86-64 VM, for two Gaussian binomials: 117
-# products took 23 us schoolbook and 29 us Kronecker, 374 products 69 us and
-# 34 us.
-_KRONECKER_MIN = 128
-
 _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _qdict_mul(a: dict, b: dict) -> dict:
-    """Product of two q-exponent dicts.  Products of at least _KRONECKER_MIN
-    coefficient pairs go to _qdict_prod."""
-    if not a or not b:
-        return {}
-    if len(a) * len(b) >= _KRONECKER_MIN:
-        return _qdict_prod((a, b))
+    """Schoolbook product of two q-exponent dicts."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -424,57 +411,6 @@ def _qdict_mul(a: dict, b: dict) -> dict:
             elif k in out:
                 del out[k]
     return out
-
-
-def _qdict_prod(factors, cap=None) -> dict:
-    """Product of q-exponent dicts, optionally dropping exponents > cap (an
-    int or a Fraction).
-
-    Large products use Kronecker substitution: each factor's dense
-    coefficient list is packed at a common byte width w (_pack), the
-    interpreter multiplies those ints with Karatsuba, and _unpack_qdict
-    reads the product back once.  The product of the factors' absolute
-    coefficient sums bounds every output coefficient, and _width keeps
-    that bound below 2^(8w-1).
-    """
-    if math.prod(map(len, factors)) < _KRONECKER_MIN:
-        # The fold has fewer terms than that at every step, so each
-        # _qdict_mul call takes its schoolbook loop.  The cap applies last,
-        # because a later factor may have negative exponents.
-        prod = {0: 1}
-        for f in factors:
-            prod = _qdict_mul(prod, f)
-        return prod if cap is None else {e: c for e, c in prod.items() if e <= cap}
-    lo = 0
-    dense = []
-    for f in factors:
-        flo, vals = _dense(f)
-        lo += flo
-        dense.append(vals)
-    if cap is not None:
-        cap = math.floor(cap)
-        if cap < lo:
-            return {}
-        # the low digits of a product need only those of the factors
-        dense = [vals[: cap - lo + 1] for vals in dense]
-    width = _width(math.prod(sum(map(abs, vals)) for vals in dense))
-    value = 1
-    for vals in dense:
-        value *= _pack(vals, width)
-    return _unpack_qdict(value, width, lo, cap)
-
-
-def _dense(d: dict) -> tuple[int, list]:
-    """(lowest exponent, dense coefficient list) of a nonempty qdict."""
-    keys = list(d)
-    lo = keys[0]
-    if keys == list(range(lo, lo + len(keys))):  # ascending without gaps
-        return lo, list(d.values())
-    lo = min(keys)
-    vals = [0] * (max(keys) - lo + 1)
-    for e, c in d.items():
-        vals[e - lo] = c
-    return lo, vals
 
 
 def _width(bound: int) -> int:

@@ -146,8 +146,9 @@ def supernomial(entries, a: int) -> BiLaurent:
     if poly is None:
         entries = _check_entries(entries)
         width = _width(math.prod((j + 1) ** v for j, v in enumerate(entries, 1)))
+        packed = _packed_binomials(width)
         acc = 0
-        for exp, value in _compositions(entries, a, width):
+        for exp, value in _compositions(entries, a, lambda t, n: packed[t, n]):
             acc += value << 8 * width * exp
         poly = BiLaurent.from_qdict(_unpack_qdict(acc, width, 0))
         _SUP[entries, a] = poly
@@ -156,39 +157,32 @@ def supernomial(entries, a: int) -> BiLaurent:
 
 def supernomial_at1(entries, a: int) -> int:
     """The supernomial evaluated at q = 1: the coefficient of x^a in
-    prod_j (1 + x + ... + x^j)^(L_j)."""
+    prod_j (1 + x + ... + x^j)^(L_j).  It is the composition sum of
+    supernomial with each Gaussian binomial at q = 1 (math.comb)."""
     val = _SUP1.get((tuple(entries), a))
     if val is None:
         entries = _check_entries(entries)
-        val = sum(
-            math.prod([math.comb(top, bot) for top, bot in pairs])
-            for _, pairs in _compositions(entries, a)
-        )
+        val = sum(value for _, value in _compositions(entries, a, math.comb))
         _SUP1[entries, a] = val
     return val
 
 
-def _compositions(entries: tuple[int, ...], a: int, width: int | None = None):
+def _compositions(entries: tuple[int, ...], a: int, binom):
     """Enumerate contributing compositions (n_1, ..., n_k) of a, yielding
     (exponent, product of the composition's binomials) for each.
 
-    With a byte width the product is a packed int (see laurent), folded
-    along the composition tree from the process-wide table of binomials
-    packed at that width, so each is packed once per process; without one
-    it is the tuple ((top, bottom), ...).  Bounds follow the vanishing of
-    the binomial factors: n_k in [0, L_k], then n_{i} in [0, L_i + n_{i+1}]."""
+    binom(top, bottom) gives each binomial factor in the ring of the caller
+    (packed ints for supernomial, ints at q = 1 for supernomial_at1), and
+    the products are folded along the composition tree, so a prefix shared
+    by several compositions is multiplied once.  Bounds follow the
+    vanishing of the binomial factors: n_k in [0, L_k], then n_{i} in
+    [0, L_i + n_{i+1}]."""
     k = len(entries)
     if a < 0 or a > _top(entries):
         return
     suffix = [0] * (k + 2)
     for i in range(k, 0, -1):
         suffix[i] = suffix[i + 1] + entries[i - 1]
-    packed = None if width is None else _packed_binomials(width)
-
-    def extend(factors, top, n):
-        if packed is None:
-            return factors + ((top, n),)
-        return factors * packed[top, n]
 
     # Assign n_k, ..., n_2 recursively; n_1 is forced by the total.  At
     # pos = k, next_n = 0 and suffix[k + 1] = 0.
@@ -197,13 +191,13 @@ def _compositions(entries: tuple[int, ...], a: int, width: int | None = None):
         if pos == 1:
             if remaining <= top:
                 exp += remaining * (suffix[2] - next_n)
-                yield exp, extend(factors, top, remaining)
+                yield exp, factors * binom(top, remaining)
             return
         for n in range(0, min(top, remaining) + 1):
             e = exp + n * (suffix[pos + 1] - next_n)
-            yield from rec(pos - 1, remaining - n, n, e, extend(factors, top, n))
+            yield from rec(pos - 1, remaining - n, n, e, factors * binom(top, n))
 
-    yield from rec(k, a, 0, 0, () if packed is None else 1)
+    yield from rec(k, a, 0, 0, 1)
 
 
 def _top(entries) -> int:

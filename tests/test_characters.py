@@ -12,7 +12,6 @@ from qchar.characters import (
     CharacterValue,
     coinv_char_fermionic,
     coinv_char_supernomial,
-    lattice_character,
     rep_character,
     spectral_flow_check,
 )
@@ -21,6 +20,7 @@ from qchar.fermionic import (
     coupling_matrix,
     gordon_series,
     lattice_sum,
+    support_box,
 )
 from qchar.fusion import decompose_site, fusion_dims
 from qchar.qbinom import qbinomial
@@ -175,21 +175,10 @@ def test_fermionic_cutoff_is_truncation_at_half_integer_exponents():
             assert cut == full.truncate_q(qmax)
 
 
-def test_lattice_character_delegates():
-    data = QuadraticData(coupling_matrix(2, 0), (1, -1))
-    site_comps = (2, 1)
-    box = [(-3, 4), (-3, 4)]
-    assert lattice_character(data, site_comps, box) == lattice_sum(
-        data, site_comps, box
-    )
-    # no box needed for the standard family
-    assert lattice_character(data, site_comps) == lattice_sum(data, site_comps, box)
-
-
 def test_lattice_character_zero_matrix_brute():
     data = QuadraticData(((0,),), (1,))
     box = [(-4, 4)]
-    value = lattice_character(data, (1,), box, qmax=2, zwin=2)
+    value = lattice_sum(data, (1,), box, qmax=2, zwin=2)
     expected = BiLaurent.zero()
     from qchar.qbinom import qbinomial_ext
 
@@ -201,15 +190,19 @@ def test_lattice_character_zero_matrix_brute():
 def test_gordon_series_equals_rep_character_series():
     # two independent routes to the irreducible character: quadratic-form
     # shells with inverse-Pochhammer weights vs the Fock-sum expansion
-    for p in (2, 3, 4):
-        for r in range(p):
-            expected = rep_character(p, r, 5, 2).poly
-            assert gordon_series(p, p - 1, r, 5, 2) == expected
+    # (qmax = 20 has coefficients up to 627, so its packed products are
+    # wider than one byte)
+    for qmax in (5, 20):
+        for p in (2, 3, 4):
+            for r in range(p):
+                expected = rep_character(p, r, qmax, 2).poly
+                assert gordon_series(p, p - 1, r, qmax, 2) == expected
 
 
 def test_large_cutoff_matches_gordon_truncation():
     data = QuadraticData(coupling_matrix(2, 0), (1, -1))
-    value = lattice_character(data, (10, 10), qmax=4, zwin=4)
+    box = support_box(SiteVector(2, 10, 10), data.w)
+    value = lattice_sum(data, (10, 10), box, qmax=4, zwin=4)
     assert value == gordon_series(2, 0, 0, 4, 4)
 
 

@@ -1,9 +1,12 @@
 """CLI behavior: outputs, exit codes, determinism, reports, mutation."""
 
 import hashlib
+import importlib
+import inspect
 import itertools
 import json
 import os
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from qchar.supernomial import SiteVector, multiplicities
 from qchar.verify import REPORT_SCHEMA
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+TRACER = EXPECTED.with_name("tracer.py")
 
 
 def run_cli(capsys, *argv):
@@ -423,6 +427,22 @@ def test_verify_all_stdout_matches_recorded_digest(capsys):
     code, out, _ = run_cli(capsys, "verify", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_every_traced_helper_is_present():
+    # the benchmark's traced run reports one metric per helper it wraps; a
+    # helper that was renamed or removed would drop its metrics
+    tracer = types.ModuleType("tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), vars(tracer))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert t.absent == []
+        for mod, attr, _ in tracer.GENERATORS:
+            fn = getattr(importlib.import_module(f"qchar.{mod}"), attr)
+            assert inspect.isgeneratorfunction(inspect.unwrap(fn))
+    finally:
+        t.uninstall()
 
 
 def test_verify_tb_default_sweep_size(capsys):

@@ -135,14 +135,16 @@ def test_ext_pascal_recurrences_window():
 
 
 def test_ext_qdicts_are_canonical():
-    # int keys in ascending order (so _qdict_prod reads them densely) and no
-    # zero coefficient, for every n, m on the window and their reflections
+    # int keys ascending without gaps (_PackedBinomials packs .values() as
+    # the dense coefficient list) and no zero coefficient, for every n, m on
+    # the window and their reflections
     for n in range(-20, 21):
         for m in range(-20, 21):
             d = qbinom._ext_qdict(n, m)
             keys = list(d)
             assert all(type(e) is int for e in keys)
-            assert keys == sorted(keys)
+            if keys:
+                assert keys == list(range(keys[0], keys[-1] + 1))
             assert all(d.values())
 
 
@@ -170,10 +172,22 @@ def test_each_binomial_is_packed_once_per_width(monkeypatch):
         return real(vals, width)
 
     monkeypatch.setattr(qbinom, "_pack", counting)
+
+    def composition_pairs(entries, a):
+        pairs = set()
+
+        def record(top, bottom):
+            pairs.add((top, bottom))
+            return 1
+
+        for _ in _compositions(entries, a, record):
+            pass
+        return pairs
+
     data = QuadraticData(((1,),), (1,))
     per_call = [
-        {pair for _, pairs in _compositions((2, 1), 2) for pair in pairs},
-        {pair for _, pairs in _compositions((2, 1), 3) for pair in pairs},
+        composition_pairs((2, 1), 2),
+        composition_pairs((2, 1), 3),
         {(t, b) for (b,), _, _, (t,) in _summands(data, (3,), [(0, 3)])},
     ]
     supernomial((2, 1), 2)
