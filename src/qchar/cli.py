@@ -220,6 +220,8 @@ def _verify_options(args) -> dict:
     for key in ("count", "amax", "margin", "entry_max"):
         if opts.get(key, 0) < 0:
             raise ValueError(f"option {key!r} must be >= 0, got {opts[key]}")
+    if opts.get("p_lo", 2) < 2:  # ta and tb would quietly skip p < 2
+        raise ValueError(f"--p must start at 2 or above (p_lo = {opts['p_lo']})")
     return opts
 
 

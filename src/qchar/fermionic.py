@@ -52,8 +52,8 @@ from .laurent import (
     BiLaurent,
     bounded_partition_counts,
     norm_exp,
-    _half_iadd,
     _pack,
+    _qdict_iadd,
     _unpack_qdict,
     _width,
 )
@@ -632,11 +632,9 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     weights 1/(q)_{n_a} over n >= 0, truncated to q-degree <= qmax and
     |z-degree| <= zwin.
 
-    The truncation rests on a stopping rule, not on a proof: the shells of
-    constant |n|_1 are scanned in order, and the scan stops after two
-    shells in a row whose least exponent exceeds qmax.  A summand beyond
-    them with exponent <= qmax would be missed; none is known.  After
-    max_shell shells without two clear ones it raises RuntimeError.
+    The truncation is exact: every weight starts at q^0, so a term of
+    q-degree <= qmax needs n A n + v2.n <= 2 qmax (v2 = 2v), and _ellipsoid
+    yields exactly those n; for d <= p-1, n A n >= |n|^2 on n >= 0.
     """
     if not 0 <= d <= p - 1:
         raise ValueError("need 0 <= d <= p-1")
@@ -645,46 +643,56 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     if qmax < 0 or zwin < 0:
         raise ValueError("cutoffs must be nonnegative")
     data = QuadraticData.for_site(p, d, r)
-    m = data.size
-    rows = data.matrix
-    u = data.u
     v2 = tuple(int(2 * x) for x in data.v)
     acc: dict = {}
-    shell = 0
-    clear_shells = 0
-    max_shell = 4 * (qmax + zwin + m + 8)
-    while clear_shells < 2:
-        if shell > max_shell:
-            raise RuntimeError("shell pruning did not certify the cutoff")
-        shell_min = None  # least doubled exponent e2 on the shell
-        for n in _shell_vectors(m, shell):
-            s = [sum(n[b] * rows[b][a] for b in range(m)) for a in range(m)]
-            e2 = sum(n[a] * (s[a] + v2[a]) for a in range(m))
-            if shell_min is None or e2 < shell_min:
-                shell_min = e2
-            if e2 > 2 * qmax:
-                continue
-            zdeg = sum(u[a] * n[a] for a in range(m))
-            if abs(zdeg) > zwin:
-                continue
-            room = (2 * qmax - e2) // 2
-            counts = [bounded_partition_counts(na, room) for na in n]
-            width = _width(math.prod(map(sum, counts)))
-            value = math.prod([_pack(c, width) for c in counts])
-            _half_iadd(acc, zdeg, e2, _unpack_qdict(value, width, 0, room))
-        if shell_min is not None and shell_min > 2 * qmax:
-            clear_shells += 1
-        else:
-            clear_shells = 0
-        shell += 1
+    for n in _ellipsoid(data.matrix, v2, 2 * qmax):
+        zdeg = sum(map(mul, data.u, n))
+        if abs(zdeg) > zwin:
+            continue
+        s = [sum(map(mul, row, n)) for row in data.matrix]  # nA
+        e2 = sum(map(mul, n, map(add, s, v2)))
+        room = (2 * qmax - e2) // 2
+        counts = [bounded_partition_counts(na, room) for na in n]
+        width = _width(math.prod(map(sum, counts)))
+        value = math.prod([_pack(c, width) for c in counts])
+        part = acc.setdefault((zdeg, e2 & 1), {})
+        _qdict_iadd(part, _unpack_qdict(value, width, 0, room), e2 >> 1)
     return BiLaurent._from_halves(acc)
 
 
-def _shell_vectors(m: int, total: int):
-    """All n >= 0 in Z^m with sum(n) == total."""
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _shell_vectors(m - 1, total - first):
-            yield (first,) + rest
+def _ellipsoid(rows, v2, bound):
+    """Every n >= 0 with n A n + v2.n <= bound (an int >= 0) for A = rows,
+    and no other vector (Fincke-Pohst).  With b = v2/2, elimination over
+    Fraction writes the form as sum_k piv_k (n_k + t_k)^2 - sum_k b_k^2/piv_k,
+    where t_k depends only on n_{>k}; the walk fixes n from last to first,
+    each coordinate within the budget the later ones leave.  Raises
+    ValueError on a pivot <= 0, that is when A is not positive definite."""
+    m = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    b = [Fraction(x, 2) for x in v2]
+    steps = []  # (pivot, its row past k over the pivot, b_k / pivot)
+    for k in range(m):
+        piv = a[k][k]
+        if piv <= 0:
+            raise ValueError("the quadratic form is not positive definite")
+        steps.append((piv, [x / piv for x in a[k][k + 1 :]], b[k] / piv))
+        bound += b[k] ** 2 / piv
+        for i in range(k + 1, m):
+            f = a[k][i] / piv
+            b[i] -= f * b[k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+
+    def walk(k, tail, budget):
+        if k < 0:
+            yield tail
+            return
+        piv, row, offset = steps[k]
+        t = offset + sum(map(mul, row, tail))
+        r = math.isqrt(budget // piv)  # floor(sqrt(budget / piv))
+        c = math.floor(-t)
+        for v in range(max(0, c - r), c + r + 2):
+            left = budget - piv * (v + t) ** 2
+            if left >= 0:
+                yield from walk(k - 1, (v,) + tail, left)
+
+    yield from walk(m - 1, (), bound)

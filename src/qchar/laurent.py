@@ -118,7 +118,8 @@ class BiLaurent:
 
     @classmethod
     def _from_halves(cls, acc: dict) -> "BiLaurent":
-        """The value accumulated by _half_iadd."""
+        """The value kept in halves: one int-keyed qdict per (zdeg, e2 & 1),
+        with each term q^(e2/2) stored at exponent e2 >> 1."""
         half = Fraction(1, 2)
         return cls._raw(
             {
@@ -480,16 +481,3 @@ def _qdict_iadd(acc: dict, d: dict, shift) -> None:
             acc[k] = v
         elif k in acc:
             del acc[k]
-
-
-def _half_iadd(acc: dict, zdeg: int, e2: int, d: dict) -> None:
-    """acc += z^zdeg q^(e2/2) * d, in place, for an int e2.
-
-    acc holds one int-keyed qdict per (zdeg, e2 & 1); the exponents of the
-    odd parts are all offset by 1/2, which _from_halves puts back.
-    """
-    key = (zdeg, e2 & 1)
-    part = acc.get(key)
-    if part is None:
-        part = acc[key] = {}
-    _qdict_iadd(part, d, e2 >> 1)

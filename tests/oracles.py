@@ -8,6 +8,7 @@ Gaussian binomials from box-partition counting.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -180,3 +181,84 @@ def lattice_sum_brute(matrix, u, v, eff, box, extended: bool) -> dict:
             key = (qexp + e, zexp)
             out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c}
+
+
+def quadratic_points_brute(matrix, v2, bound: int) -> set[tuple]:
+    """Every n >= 0 with n A n + v2.n <= bound, by a scan of a box, for a
+    matrix with n A n >= |n|^2 on n >= 0 (true when each diagonal entry
+    exceeds the absolute sum of the rest of its row).
+
+    The box: with c = max |v2_a|, the form is at least sum_a (n_a^2 - c n_a),
+    and each term is at least -c^2/4, so n_a^2 - c n_a <= bound + m c^2/4 for
+    every a, and n_a <= c/2 + sqrt(bound + (m+1) c^2/4)
+    <= c + isqrt(bound + m c^2) + 1.
+    """
+    m = len(matrix)
+    c = max(map(abs, v2), default=0)
+    if bound + m * c * c < 0:
+        return set()
+    top = c + math.isqrt(bound + m * c * c) + 1
+    return {
+        n
+        for n in itertools.product(range(top + 1), repeat=m)
+        if quadratic_form(matrix, n) + sum(map(operator.mul, v2, n)) <= bound
+    }
+
+
+def quadratic_form(matrix, n) -> int:
+    """n A n, as the dot product of n with the rows of A applied to n."""
+    return sum(n_i * sum(map(operator.mul, row, n)) for n_i, row in zip(n, matrix))
+
+
+def gordon_series_brute(p: int, d: int, r: int, qmax: int, zwin: int) -> dict:
+    """The Gordon-type series as {(q_exp, z_exp): coeff} with q_exp a
+    Fraction, truncated to q_exp <= qmax and |z_exp| <= zwin: the sum over
+    n >= 0 of z^(n_+ - n_-) q^((n A n + v2.n)/2) prod_a 1/(q)_(n_a), with
+    v2 = (p-2r-2)(1, -1, 0, ..., 0) and 1/(q)_k counted as partitions into
+    parts <= k.
+
+    The matrix is restated here.  For d <= p-1 and n >= 0 it satisfies
+    n A n = (p-d-1)(n_+ - n_-)^2 + (d+1)(n_+^2 + n_-^2)
+            + 2(n_+ + n_-) sum_k M_k + 2 sum_k M_k^2,  M_k = sum_(i>=k) n_i,
+    so n A n >= |n|^2, and quadratic_points_brute's box holds every vector.
+    """
+    m = d + 2
+    matrix = [[0] * m for _ in range(m)]
+    matrix[0][0] = matrix[1][1] = p
+    matrix[0][1] = matrix[1][0] = d + 1 - p
+    for i in range(d):
+        for s in (0, 1):
+            matrix[s][2 + i] = matrix[2 + i][s] = i + 1
+        for j in range(d):
+            matrix[2 + i][2 + j] = 2 * (min(i, j) + 1)
+    shift = p - 2 * r - 2
+    v2 = [shift, -shift] + [0] * d
+
+    def parts_at_most(k: int, size: int, largest: int) -> int:
+        if size == 0:
+            return 1
+        return sum(
+            parts_at_most(k, size - part, part)
+            for part in range(1, min(k, largest, size) + 1)
+        )
+
+    out: dict = {}
+    for n in quadratic_points_brute(matrix, v2, 2 * qmax):
+        zexp = n[0] - n[1]
+        if abs(zexp) > zwin:
+            continue
+        qexp = Fraction(quadratic_form(matrix, n) + sum(map(operator.mul, v2, n)), 2)
+        poly = {0: 1}
+        for k in n:
+            weight = {
+                e: parts_at_most(k, e, e) for e in range(int(qmax - qexp) + 1)
+            }
+            poly = {
+                e: c
+                for e, c in poly_mul_brute(poly, weight).items()
+                if qexp + e <= qmax
+            }
+        for e, coef in poly.items():
+            key = (qexp + e, zexp)
+            out[key] = out.get(key, 0) + coef
+    return {key: coef for key, coef in out.items() if coef}

@@ -188,15 +188,16 @@ def test_lattice_character_zero_matrix_brute():
 
 
 def test_gordon_series_equals_rep_character_series():
-    # two independent routes to the irreducible character: quadratic-form
-    # shells with inverse-Pochhammer weights vs the Fock-sum expansion
-    # (qmax = 20 has coefficients up to 627, so its packed products are
-    # wider than one byte)
+    # two independent routes to the irreducible character: the quadratic-form
+    # sum with inverse-Pochhammer weights vs the Fock-sum expansion, at every
+    # d <= p-1 (the series does not depend on d); qmax = 20 has coefficients
+    # up to 627, so its packed products are wider than one byte
     for qmax in (5, 20):
         for p in (2, 3, 4):
             for r in range(p):
                 expected = rep_character(p, r, qmax, 2).poly
-                assert gordon_series(p, p - 1, r, qmax, 2) == expected
+                for d in range(p) if qmax == 5 else (p - 1,):
+                    assert gordon_series(p, d, r, qmax, 2) == expected
 
 
 def test_large_cutoff_matches_gordon_truncation():

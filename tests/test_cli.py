@@ -231,6 +231,24 @@ def test_verify_rejects_negative_sweep_options(capsys, tmp_path, source,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("identity", ["char-eq", "ta"])
+def test_verify_rejects_p_below_2(capsys, tmp_path, source, identity):
+    # char-eq would otherwise fail with an error naming no option, and ta
+    # would quietly drop p = 0 and p = 1 and exit 0
+    if source == "flag":
+        argv = ["--p", "0..2"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p_lo": 1}))
+        argv = ["--config", str(config)]
+    code, out, err = run_cli(capsys, "verify", identity, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "p_lo" in err and "--p" in err
+
+
 def test_corrupted_engine_is_caught(capsys, monkeypatch):
     # a deliberately wrong extended binomial must produce a counterexample
     real = verify._ext_qdict
@@ -261,7 +279,7 @@ def test_internal_error_in_verify_checker_exits_3(capsys, monkeypatch):
     cases, _, defaults = verify._REGISTRY["knuth"]
 
     def broken(case):
-        raise RuntimeError("shell pruning did not certify the cutoff")
+        raise RuntimeError("checker failed")
 
     monkeypatch.setitem(verify._REGISTRY, "knuth", (cases, broken, defaults))
     code, _, err = run_cli(capsys, "verify", "knuth", "--range", "2")

@@ -11,6 +11,7 @@ from qchar import fermionic
 from qchar.laurent import BiLaurent
 from qchar.fermionic import (
     NonFiniteSupportError,
+    _ellipsoid,
     _leaves,
     _site_data,
     QuadraticData,
@@ -26,7 +27,12 @@ from qchar.qbinom import qbinomial_ext
 from qchar.supernomial import SiteVector
 from qchar.verify import _cases_rec_diag, _site_cases
 
-from oracles import lattice_sum_brute, lattice_support_brute
+from oracles import (
+    gordon_series_brute,
+    lattice_sum_brute,
+    lattice_support_brute,
+    quadratic_points_brute,
+)
 
 
 HALF = Fraction(1, 2)
@@ -393,6 +399,49 @@ def test_gordon_series_d_independent():
 def test_gordon_series_vacuum_cutoff():
     for p in (2, 3, 5):
         assert gordon_series(p, 0, 0, 0, 0) == BiLaurent.one()
+
+
+def test_gordon_series_matches_brute_oracle():
+    for p in (2, 3):
+        for d in range(p):
+            for r in range(p):
+                for qmax in range(7):
+                    widest = gordon_series_brute(p, d, r, qmax, 3)
+                    for zwin in range(4):
+                        got = gordon_series(p, d, r, qmax, zwin)
+                        got = {(Fraction(q), z): c for q, z, c in got.terms()}
+                        assert got == {
+                            k: c for k, c in widest.items() if abs(k[1]) <= zwin
+                        }
+
+
+@st.composite
+def dominant_forms(draw):
+    """A symmetric matrix whose diagonal exceeds the absolute sum of the
+    rest of its row (so positive definite), with v2 and a bound."""
+    m = draw(st.integers(1, 3))
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            a[i][j] = a[j][i] = draw(st.integers(-3, 3))
+    for i in range(m):
+        a[i][i] = sum(abs(x) for x in a[i]) + draw(st.integers(1, 3))
+    v2 = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    return a, v2, draw(st.integers(0, 12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dominant_forms())
+def test_ellipsoid_matches_box_scan(form):
+    rows, v2, bound = form
+    got = list(_ellipsoid(rows, v2, bound))
+    assert len(got) == len(set(got))
+    assert set(got) == quadratic_points_brute(rows, v2, bound)
+
+
+def test_ellipsoid_rejects_indefinite_form():
+    with pytest.raises(ValueError):
+        list(_ellipsoid([[1, 2], [2, 1]], [0, 0], 4))
 
 
 def test_gordon_series_validation():

@@ -187,12 +187,20 @@ def test_str_rendering():
 exponents = st.one_of(
     st.integers(-4, 4),
     st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3])),
+    st.builds(Fraction, st.integers(-41, 41), st.just(2)),
 )
 polys = st.dictionaries(
     st.tuples(exponents, st.integers(-3, 3)),
-    st.integers(-9, 9),
+    st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200)),
     max_size=5,
 ).map(BiLaurent)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polys)
+def test_json_roundtrip_property(x):
+    assert BiLaurent.loads(x.dumps()) == x
+    assert BiLaurent.from_json_obj(x.to_json_obj()) == x
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
