@@ -25,7 +25,6 @@ from .qbinom import qbinomial, qbinomial_ext, qpochhammer
 from .supernomial import (
     SiteVector,
     multiplicities,
-    second_diff_matrix,
     supernomial,
     supernomial_at1,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "qbinomial_ext",
     "qpochhammer",
     "rep_character",
-    "second_diff_matrix",
     "spectral_flow_check",
     "supernomial",
     "supernomial_at1",

@@ -130,7 +130,11 @@ def coinv_char_fermionic(
     r: int, site: SiteVector, *, qmax=None, zwin=None
 ) -> CharacterValue:
     """Coinvariant character of weight r by the fermionic route: the lattice
-    sum with v = (p/2 - r - 1)u in the exponent and cutoff shift w = -r*u.
+    sum with v = (p/2 - r - 1)u in the exponent at the site whose sign
+    cutoffs are moved to (N_+ - r, N_- + r).  (The sign of the move follows
+    the shifted balance conditions 2N_+ - N_{d-1} - 2r and
+    2N_- - N_{d-1} + 2r, and is the one that reproduces the weight-r
+    dimension counts.)
 
     Valid for d <= p-1; for d < p-1 the implied trailing cutoffs
     N_d = ... = N_{p-2} = N_+ + N_- are understood (pass the truncated site).
@@ -141,9 +145,13 @@ def coinv_char_fermionic(
         raise ValueError("need 0 <= r < p")
     if d > p - 1:
         raise ValueError("fermionic character route needs d <= p-1")
-    data = QuadraticData.for_site(p, d, r)
+    moved = SiteVector(p, site.plus - r, site.minus + r, site.levels)
     poly = lattice_sum(
-        data, site.components(), support_box(site, data.w), qmax=qmax, zwin=zwin
+        QuadraticData.for_site(p, d, r),
+        moved.components(),
+        support_box(moved),
+        qmax=qmax,
+        zwin=zwin,
     )
     q_shift, z_shift = _prefactor(p, r)
     return CharacterValue(q_shift, z_shift, poly)

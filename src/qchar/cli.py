@@ -27,7 +27,13 @@ from .characters import (
     coinv_char_supernomial,
     rep_character,
 )
-from .verify import ALL_IDENTITIES, REPORT_SCHEMA, WorkerPool, run_identity
+from .verify import (
+    ALL_IDENTITIES,
+    REPORT_SCHEMA,
+    WorkerPool,
+    _REGISTRY,
+    run_identity,
+)
 
 __all__ = ["main", "REPORT_SCHEMA"]
 
@@ -192,7 +198,7 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _verify_options(args) -> dict:
+def _verify_options(args, names) -> dict:
     opts = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -216,6 +222,11 @@ def _verify_options(args) -> dict:
         opts["awin"] = args.range_
     if args.seed is not None:
         opts["seed"] = args.seed
+    # an option that no chosen identity takes would be dropped without a word
+    unknown = set(opts).difference(*(_REGISTRY[name][2] for name in names))
+    if unknown:
+        raise ValueError(f"verify {args.identity} takes no option "
+                         f"{', '.join(map(repr, sorted(unknown)))}")
     # a negative count or bound would quietly shrink the sweep
     for key in ("count", "amax", "margin", "entry_max"):
         if opts.get(key, 0) < 0:
@@ -226,8 +237,8 @@ def _verify_options(args) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    opts = _verify_options(args)
     names = ALL_IDENTITIES if args.identity == "all" else (args.identity,)
+    opts = _verify_options(args, names)
     reports = []
     status = 0
     # one pool serves every identity of the run

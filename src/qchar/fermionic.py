@@ -6,20 +6,20 @@ The central object is
     lattice_sum(data, nvec, box) =
         sum over n in box of
             z^(u.n) q^(n A n / 2 + v.n) *
-            prod_a qbinomial_ext(e_a.(N + w + n - nA), e_a.n)
+            prod_a qbinomial_ext(e_a.(N + n - nA), e_a.n)
 
 Support and sign rules.  A factor X(t_a, n_a) vanishes unless n_a <= t_a,
-for both signs of n_a and both binomial kinds, and t_a = N_a + w_a + n_a -
-(nA)_a.  It also vanishes when n_a < 0 <= t_a, and for standard binomials
-whenever n_a < 0.  Every other factor is nonzero.  Once the sign of each
-n_a is fixed, both rules are linear: every nonzero summand satisfies the
-upper rows
+for both signs of n_a and both binomial kinds, and t_a = N_a + n_a - (nA)_a.
+It also vanishes when n_a < 0 <= t_a, and for standard binomials whenever
+n_a < 0.  Every other factor is nonzero.  Once the sign of each n_a is
+fixed, both rules are linear: every nonzero summand satisfies the upper
+rows
 
-    (nA)_a <= N_a + w_a                  for every a,
+    (nA)_a <= N_a                        for every a,
 
 and, for each a with n_a < 0, the sign row
 
-    (nA)_a - n_a >= N_a + w_a + 1.
+    (nA)_a - n_a >= N_a + 1.
 
 _leaves splits each coordinate's range at 0 and cuts both branches by
 these rows, so it yields exactly the summands in the box.
@@ -52,6 +52,7 @@ from .laurent import (
     BiLaurent,
     bounded_partition_counts,
     norm_exp,
+    _exact_int,
     _pack,
     _qdict_iadd,
     _unpack_qdict,
@@ -117,34 +118,32 @@ def standard_flow_vector(size: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class QuadraticData:
     """Parameters of a lattice sum: symmetric integer matrix plus the
-    z-grading vector u, the linear exponent shift v, and the cutoff shift w.
+    z-grading vector u and the linear exponent shift v.
 
-    Every entry of v must lie in (1/2)Z (ValueError otherwise), so that each
+    Every entry of the matrix and of u must be an exact integer, and every
+    entry of v must lie in (1/2)Z (ValueError otherwise), so that each
     summand's exponent n A n / 2 + v.n does too."""
 
     matrix: tuple[tuple[int, ...], ...]
     u: tuple[int, ...]
     v: tuple = ()
-    w: tuple[int, ...] = ()
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(map(_exact_int, row)) for row in self.matrix)
         size = len(m)
         if any(len(row) != size for row in m):
             raise ValueError("matrix must be square")
         if any(m[i][j] != m[j][i] for i in range(size) for j in range(size)):
             raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
-        u = tuple(int(x) for x in self.u)
+        u = tuple(map(_exact_int, self.u))
         v = tuple(norm_exp(Fraction(x)) for x in self.v) or (0,) * size
         if any((2 * x).denominator != 1 for x in v):
             raise ValueError("exponent shift v must lie in (1/2)Z")
-        w = tuple(int(x) for x in self.w) or (0,) * size
-        if not (len(u) == len(v) == len(w) == size):
+        if not (len(u) == len(v) == size):
             raise ValueError("vector lengths must match the matrix size")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
 
     @property
     def size(self) -> int:
@@ -154,46 +153,37 @@ class QuadraticData:
     @lru_cache(maxsize=256)
     def for_site(cls, p: int, d: int, r: int = 0) -> "QuadraticData":
         """Coupling data of the weight-r coinvariant character: exponent
-        shift v = (p/2-r-1)u and cutoff shift w = -r*u over the standard
-        matrix.  (The sign of w follows the shifted balance conditions
-        2N_+ - N_{d-1} - 2r and 2N_- - N_{d-1} + 2r, and is the one that
-        reproduces the weight-r dimension counts.)  Built and validated
+        shift v = (p/2-r-1)u over the standard matrix.  Built and validated
         once per (p, d, r); the bound keeps the cache small."""
         u = standard_flow_vector(d + 2)
         shift = Fraction(p, 2) - r - 1
-        return cls(
-            coupling_matrix(p, d),
-            u,
-            tuple(shift * x for x in u),
-            tuple(-r * x for x in u),
-        )
+        return cls(coupling_matrix(p, d), u, tuple(shift * x for x in u))
 
 
-def support_box(site: SiteVector, w=None) -> list[tuple[int, int]]:
+def support_box(site: SiteVector) -> list[tuple[int, int]]:
     """Finite per-coordinate bounds containing every nonzero summand of the
-    lattice sum at site + w.
+    lattice sum at the site.
 
-    Requires every multiplicity entry of the shifted site to be nonnegative
-    (raises NonFiniteSupportError otherwise).  Level coordinates are bounded
-    below by 0; the sign coordinates by min(0, floor(C) + 1) with
-    C = (2*N_eff - N_eff[d-1]) / (2p - d - 2); upper bounds come from the
-    sum of the two sign rows of the support rule,
+    Requires every multiplicity entry of the site to be nonnegative (raises
+    NonFiniteSupportError otherwise).  Level coordinates are bounded below
+    by 0; the sign coordinates by min(0, floor(C) + 1) with
+    C = (2*N - N[d-1]) / (2p - d - 2) for N = N_+ and N = N_-; upper bounds
+    come from the sum of the two sign rows of the support rule,
     (d+1)(n_+ + n_-) + sum_i 2(i+1) n_i <= N_+ + N_-, with the opposite sign
     coordinate at its worst-case lower bound.
     """
     p, d = site.p, site.d
-    eff = site if w is None else site.shifted_by(w)
-    mult = multiplicities(eff)
+    mult = multiplicities(site)
     for i, v in enumerate(mult):
         if v < 0:
             raise NonFiniteSupportError(i + 1, v)
-    last_level = eff.levels[-1] if d > 0 else 0
+    last_level = site.levels[-1] if d > 0 else 0
     denom = 2 * p - d - 2
     lows = []
-    for side in (eff.plus, eff.minus):
+    for side in (site.plus, site.minus):
         c = (2 * side - last_level) // denom  # floor of the critical ratio
         lows.append(min(0, c + 1))
-    budget = eff.plus + eff.minus
+    budget = site.total
     coeff_sign = d + 1
     box = []
     # sign coordinates: the other sign sits at its lower bound, levels at 0
@@ -254,19 +244,16 @@ def _range(step, s, negs, n):
     return chain(range(lo, neg_hi + 1), range(hi + 1))
 
 
-def _steps(box, rows, eff, extended=True):
+def _steps(box, rows, eff):
     """The steps of the walk over a box, one per coordinate, last coordinate
     first: (lo, hi, row, own, room, need) as _range reads them.  None when
-    a coordinate's range is empty; with extended=False the ranges start at 0.
-    need is read only below 0, so it is left None when no range reaches
-    below 0.
+    a coordinate's range is empty.  need is read only below 0, so it is
+    left None when no range reaches below 0.
     """
     m = len(box)
     steps = []
     for i in range(m - 1, -1, -1):
         lo, hi = box[i]
-        if not extended:
-            lo = max(lo, 0)  # an empty negative branch
         if lo > hi:
             return None
         steps.append((lo, hi, rows[i], (rows[i][i] - 1, i)))
@@ -338,9 +325,9 @@ def _sign_leaves(steps, n, s, negs, out):
     n[i] = 0
 
 
-def _leaves(box, rows, eff, extended=True):
+def _leaves(box, rows, eff):
     """Yield (n, nA) for every n in the box whose summand has no vanishing
-    factor; with extended=False, only n >= 0.
+    factor.
 
     Each coordinate's range is split at 0.  Both branches are cut by every
     upper row (nA)_a <= eff_a and by the sign row (nA)_a - n_a >= eff_a + 1
@@ -351,7 +338,7 @@ def _leaves(box, rows, eff, extended=True):
     summand.  The walk is iterative and takes the coordinates last to
     first, which puts the levels of a coupling matrix before the signs.
     """
-    steps = _steps(box, rows, eff, extended)
+    steps = _steps(box, rows, eff)
     if steps is None:
         return
     n = [0] * len(box)
@@ -359,18 +346,18 @@ def _leaves(box, rows, eff, extended=True):
         yield tuple(n), tuple(s)
 
 
-def _summands(data: QuadraticData, nvec, box, extended=True):
+def _summands(data: QuadraticData, nvec, box):
     """Yield (n, zdeg, e2, tops) over the nonzero summands in the box.
 
     e2 = sum_a n_a ((nA)_a + 2 v_a) is twice the summand's q-exponent, an
-    int.  The tops are e_a.(N + w + n - nA).  _leaves applies both the
+    int.  The tops are e_a.(N + n - nA).  _leaves applies both the
     support and the sign rule, so every vector it yields is a summand.
     """
     m = data.size
     eff = _eff(data, nvec)
     u = data.u
     v2 = tuple(int(2 * x) for x in data.v)
-    for n, s in _leaves(box, data.matrix, eff, extended):
+    for n, s in _leaves(box, data.matrix, eff):
         tops = tuple(eff[a] + n[a] - s[a] for a in range(m))
         e2 = sum(n[a] * (s[a] + v2[a]) for a in range(m))
         zdeg = sum(u[a] * n[a] for a in range(m))
@@ -378,11 +365,11 @@ def _summands(data: QuadraticData, nvec, box, extended=True):
 
 
 def _eff(data: QuadraticData, nvec) -> list:
-    """N + w, the cutoffs the rows of the support rule compare with."""
-    nvec = tuple(nvec)
-    if len(nvec) != data.size:
+    """N as a list: the cutoffs the rows of the support rule compare with."""
+    eff = list(nvec)
+    if len(eff) != data.size:
         raise ValueError("site vector length must match the matrix size")
-    return [x + w for x, w in zip(nvec, data.w)]
+    return eff
 
 
 def _factor_data(tops, bottoms, e2):
@@ -503,12 +490,12 @@ def lattice_sum(
     *,
     qmax=None,
     zwin=None,
-    extended: bool = True,
 ) -> BiLaurent:
     """Evaluate the lattice sum over an explicit finite box.
 
-    With extended=False the factors are standard Gaussian binomials, so
-    negative bottoms vanish.
+    A box with no negative coordinate gives the standard-binomial sum: for
+    n >= 0 every nonzero factor has 0 <= n_a <= t_a, where the extended and
+    the standard Gaussian binomial agree.
 
     The sum factors through the coupling of the first two coordinates, the
     sign block S, with the rest, the level block L.  The factors of S
@@ -545,7 +532,7 @@ def lattice_sum(
     when it is unpacked.
     """
     eff = _eff(data, nvec)
-    steps = _steps(box, data.matrix, eff, extended)
+    steps = _steps(box, data.matrix, eff)
     if steps is None:
         return BiLaurent.zero()
     v2 = [int(2 * x) for x in data.v]
@@ -598,33 +585,30 @@ def lattice_sum(
     return BiLaurent._from_halves(acc)
 
 
-def lattice_support(data: QuadraticData, nvec, box, *, extended=True):
+def lattice_support(data: QuadraticData, nvec, box):
     """Vectors in the box whose summand is not identically zero.
 
     These are the vectors the support and sign rules leave: each of their
     factors is nonzero, and Z[q, 1/q] has no zero divisors.
     """
-    return [n for n, *_ in _summands(data, nvec, box, extended)]
+    return [n for n, *_ in _summands(data, nvec, box)]
 
 
-def fermionic_sum(site: SiteVector, w=None, *, qmax=None, zwin=None) -> BiLaurent:
+def fermionic_sum(site: SiteVector) -> BiLaurent:
     """The certified lattice sum of a site vector: coupling matrix from
-    (p, d), z-grading (1, -1, 0, ...), cutoff shift w, no linear exponent
-    shift.  Finiteness requires the multiplicity vector of site + w to be
+    (p, d), z-grading (1, -1, 0, ...), no linear exponent shift.
+    Finiteness requires the multiplicity vector of the site to be
     nonnegative."""
-    p, d = site.p, site.d
-    w = tuple(w) if w is not None else (0,) * (d + 2)
-    data = _site_data(p, d, w)
     return lattice_sum(
-        data, site.components(), support_box(site, w), qmax=qmax, zwin=zwin
+        _site_data(site.p, site.d), site.components(), support_box(site)
     )
 
 
 @lru_cache(maxsize=256)
-def _site_data(p: int, d: int, w: tuple) -> QuadraticData:
-    """The QuadraticData of fermionic_sum at (p, d) and cutoff shift w,
-    validated once per (p, d, w); the bound keeps the cache small."""
-    return QuadraticData(coupling_matrix(p, d), standard_flow_vector(d + 2), (), w)
+def _site_data(p: int, d: int) -> QuadraticData:
+    """The QuadraticData of fermionic_sum at (p, d), validated once per
+    (p, d); the bound keeps the cache small."""
+    return QuadraticData(coupling_matrix(p, d), standard_flow_vector(d + 2))
 
 
 def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:

@@ -61,6 +61,14 @@ def norm_exp(e):
     raise TypeError(f"exponent must be int or Fraction, not {type(e).__name__}")
 
 
+def _exact_int(x) -> int:
+    """x as an int; ValueError unless x is an int or a Fraction with
+    denominator 1 (a float or a proper fraction is never rounded)."""
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return int(x)
+    raise ValueError(f"{x!r} is not an exact integer")
+
+
 class BiLaurent:
     """Immutable Laurent polynomial in q (rational exponents) and z (integer
     exponents) with integer coefficients."""

@@ -16,40 +16,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import BiLaurent, _unpack_qdict, _width
+from .laurent import BiLaurent, _exact_int, _unpack_qdict, _width
 from .qbinom import _packed_binomials
 
 __all__ = [
     "SiteVector",
     "multiplicities",
-    "second_diff_matrix",
     "supernomial",
     "supernomial_at1",
     "supernomial_lattice_side",
 ]
 
 
-def second_diff_matrix(m: int) -> tuple[tuple[int, ...], ...]:
-    """Tridiagonal m x m matrix with 2 on the diagonal (1 in the last slot)
-    and -1 off-diagonal; its inverse has entries min(i, j)."""
-    if m < 1:
-        raise ValueError("matrix size must be >= 1")
-    rows = []
-    for i in range(m):
-        row = [0] * m
-        row[i] = 2 if i < m - 1 else 1
-        if i > 0:
-            row[i - 1] = -1
-        if i < m - 1:
-            row[i + 1] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class SiteVector:
     """Cutoff vector (N_+, N_-; N_0, ..., N_{d-1}) for the rank-p lattice
-    algebra, with d = len(levels) and 0 <= d <= 2p-3."""
+    algebra, with d = len(levels) and 0 <= d <= 2p-3.  Every component must
+    be an exact integer (ValueError otherwise)."""
 
     p: int
     plus: int
@@ -57,7 +40,9 @@ class SiteVector:
     levels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
+        object.__setattr__(self, "plus", _exact_int(self.plus))
+        object.__setattr__(self, "minus", _exact_int(self.minus))
+        object.__setattr__(self, "levels", tuple(map(_exact_int, self.levels)))
         if self.p < 2:
             raise ValueError("p must be >= 2")
         if len(self.levels) > 2 * self.p - 3:
@@ -83,17 +68,6 @@ class SiteVector:
         """0 <= N_0 <= ... <= N_{d-1} <= N_+ + N_-."""
         seq = (0,) + self.levels + (self.total,)
         return all(a <= b for a, b in zip(seq, seq[1:]))
-
-    def shifted_by(self, vec) -> "SiteVector":
-        """Componentwise shift by a vector over (+, -, 0, ..., d-1)."""
-        if len(vec) != self.d + 2:
-            raise ValueError("shift vector has wrong length")
-        return SiteVector(
-            self.p,
-            self.plus + vec[0],
-            self.minus + vec[1],
-            tuple(a + b for a, b in zip(self.levels, vec[2:])),
-        )
 
 
 def multiplicities(site: SiteVector) -> tuple[int, ...]:

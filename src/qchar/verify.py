@@ -371,7 +371,7 @@ def _check_ta(case):
     p, d, plus, minus, levels = case
     site = SiteVector(p, plus, minus, levels)
     params = _site_params(*case)
-    data = _site_data(p, d, (0,) * (d + 2))
+    data = _site_data(p, d)
     box = support_box(site)
     comps = site.components()
     vectors = lattice_support(data, comps, box)
@@ -379,7 +379,7 @@ def _check_ta(case):
     if bad:
         return {"params": params, "lhs": {"negative_support": bad}, "rhs": None}
     ext = lattice_sum(data, comps, box)
-    std = lattice_sum(data, comps, box, extended=False)
+    std = lattice_sum(data, comps, [(max(lo, 0), hi) for lo, hi in box])
     return _compare(params, {"extended": ext, "standard": std},
                     supernomial_lattice_side(p, multiplicities(site), minus))
 
@@ -499,7 +499,7 @@ def _check_rec(case):
         tuple(diag[i] if i == j else 0 for j in range(m)) for i in range(m)
     )
     v = tuple(Fraction(x, 2) for x in v2)
-    data = QuadraticData(a_mat, u, v, ())
+    data = QuadraticData(a_mat, u, v)
     box = [(0, max(nvec[b] // diag[b], 0)) for b in range(m)]
     lhs = lattice_sum(data, nvec, box)
     down = _shift_components(nvec, aidx, 1)

@@ -90,6 +90,25 @@ def widths_from_multiplicities(mult) -> list[int]:
     return out
 
 
+def second_diff_matrix(m: int) -> tuple[tuple[int, ...], ...]:
+    """Tridiagonal m x m matrix with 2 on the diagonal (1 in the last slot)
+    and -1 off-diagonal; its inverse has entries min(i, j).  A profile
+    times it is the multiplicity vector, the independent route for
+    qchar's multiplicities."""
+    if m < 1:
+        raise ValueError("matrix size must be >= 1")
+    rows = []
+    for i in range(m):
+        row = [0] * m
+        row[i] = 2 if i < m - 1 else 1
+        if i > 0:
+            row[i - 1] = -1
+        if i < m - 1:
+            row[i + 1] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def brute_elementary_count(p: int, i: int, j: int, r: int) -> int:
     """#{n : 0 <= p*n + j + r <= i} by scanning a wide window."""
     span = (abs(i) + abs(j) + abs(r)) // p + 3

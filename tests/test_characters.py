@@ -202,7 +202,7 @@ def test_gordon_series_equals_rep_character_series():
 
 def test_large_cutoff_matches_gordon_truncation():
     data = QuadraticData(coupling_matrix(2, 0), (1, -1))
-    box = support_box(SiteVector(2, 10, 10), data.w)
+    box = support_box(SiteVector(2, 10, 10))
     value = lattice_sum(data, (10, 10), box, qmax=4, zwin=4)
     assert value == gordon_series(2, 0, 0, 4, 4)
 

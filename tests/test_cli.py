@@ -249,6 +249,29 @@ def test_verify_rejects_p_below_2(capsys, tmp_path, source, identity):
     assert "p_lo" in err and "--p" in err
 
 
+@pytest.mark.parametrize("identity, flags, config", [
+    ("rdc", ["--p", "5..6", "--nmax", "3"], None),
+    ("rdc", ["--seed", "3"], None),
+    ("char-eq", [], {"nmax": 0, "margin": 9}),
+    ("tb", ["--nmax", "2"], {"window": 3}),
+    ("all", [], {"nmax": 2, "margn": 0}),
+    ("all", ["--seed", "3"], {"p_hi": 2, "bound": 2, "awin": 2, "typo": 1}),
+])
+def test_verify_rejects_options_no_identity_takes(capsys, tmp_path, identity,
+                                                  flags, config):
+    # each would otherwise be dropped, and the default sweep would run and
+    # exit 0; for all, an option is taken when some identity takes it
+    argv = list(flags)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, "verify", identity, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_corrupted_engine_is_caught(capsys, monkeypatch):
     # a deliberately wrong extended binomial must produce a counterexample
     real = verify._ext_qdict
@@ -345,6 +368,16 @@ def test_verify_all_parallel_matches_serial(capsys, tmp_path):
         runs.append((code, out, reports))
     assert runs[0][0] == 0
     assert runs[0] == runs[1]
+
+
+def test_verify_all_takes_an_option_of_any_identity(capsys, tmp_path):
+    # --seed is an option of rec alone, window of pascal alone
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(SMALL_SWEEPS))
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "3",
+                           "--config", str(config))
+    assert code == 0
+    assert out.count(" cases, 0 failures\n") == len(verify.ALL_IDENTITIES)
 
 
 def test_verify_all_opens_one_pool(capsys, monkeypatch, tmp_path):

@@ -81,18 +81,38 @@ def test_quadratic_data_validation():
         QuadraticData(((2,),), (1,), (Fraction(1, 3),))
 
 
+def test_inputs_must_be_exact_integers():
+    # a float or a proper fraction would otherwise be truncated, or kept
+    for build in (
+        lambda: QuadraticData(((HALF,),), (1,)),
+        lambda: QuadraticData(((2.7,),), (1,)),
+        lambda: QuadraticData(((2,),), (0.5,)),
+        lambda: SiteVector(2, 1.5, 0, (1,)),
+        lambda: SiteVector(2, 1, 0, (0.5,)),
+        lambda: SiteVector(2, 1, 3 * HALF),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    # integral Fractions are integers, and are stored as ints
+    assert QuadraticData(((Fraction(2),),), (Fraction(-1),)) == QuadraticData(
+        ((2,),), (-1,))
+    site = SiteVector(2, Fraction(3), 0, (Fraction(1),))
+    assert site.components() == (3, 0, 1)
+    assert all(type(x) is int for x in site.components())
+
+
 def test_site_data_is_cached_and_still_validated():
     matrix, u = coupling_matrix(3, 1), (1, -1, 0)
     for build, args, want in [
-        (_site_data, (3, 1, (1, -1, 0)), QuadraticData(matrix, u, (), (1, -1, 0))),
+        (_site_data, (3, 1), QuadraticData(matrix, u)),
         (QuadraticData.for_site, (3, 1, 2),
-         QuadraticData(matrix, u, (-3 * HALF, 3 * HALF, 0), (-2, 2, 0))),
+         QuadraticData(matrix, u, (-3 * HALF, 3 * HALF, 0))),
     ]:
         data = build(*args)
         assert data is build(*args)
         assert data == want
-    with pytest.raises(ValueError):
-        fermionic_sum(SiteVector(2, 1, 1), (0, 0, 0))  # w one entry too long
+    with pytest.raises(ValueError):  # nvec one entry too long
+        lattice_sum(_site_data(2, 0), (1, 1, 0), support_box(SiteVector(2, 1, 1)))
     with pytest.raises(ValueError):
         QuadraticData.for_site(1, 0, 0)  # p < 2
 
@@ -135,21 +155,23 @@ def test_lattice_support_matches_brute_oracle():
     # vectors with no vanishing factor: standard family with every weight
     # shift (row entries < 0, = 0 and > 0), generic diagonal data over a box
     # reaching below zero, a zero row that no vector satisfies, and a box
-    # with an empty coordinate range
-    def agree(data, comps, box):
-        eff = [c + w for c, w in zip(comps, data.w)]
+    # with an empty coordinate range; the standard sum is the one over the
+    # box clamped at 0
+    def agree(data, nvec, box):
         for extended in (True, False):
-            got = lattice_support(data, comps, box, extended=extended)
+            lib_box = box if extended else _clamped(box)
+            got = lattice_support(data, nvec, lib_box)
             assert len(got) == len(set(got))
             assert set(got) == set(
-                lattice_support_brute(data.matrix, eff, box, extended)
+                lattice_support_brute(data.matrix, nvec, box, extended)
             )
 
     sites = [*_site_cases(2, 3, 3, 2), *_site_cases(4, 4, 4, 2, max_d=2)]
     for p, d, plus, minus, levels in sites:
-        site = SiteVector(p, plus, minus, levels)
+        box = support_box(SiteVector(p, plus, minus, levels))
         for r in range(p):
-            agree(QuadraticData.for_site(p, d, r), site.components(), support_box(site))
+            moved = (plus - r, minus + r) + levels
+            agree(QuadraticData.for_site(p, d, r), moved, box)
     for _, m, diag, nvec, u, _, _ in _cases_rec_diag({"seed": 0, "count": 60}):
         matrix = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
         box = [(-2, nvec[b] // diag[b] + 2) for b in range(m)]
@@ -157,6 +179,11 @@ def test_lattice_support_matches_brute_oracle():
     agree(QuadraticData(((0, 0), (0, 0)), (1, -1)), (1, -1), [(-2, 2), (-2, 2)])
     data = QuadraticData(coupling_matrix(3, 1), standard_flow_vector(3))
     agree(data, (2, 2, 2), [(-1, 2), (1, 0), (0, 2)])
+
+
+def _clamped(box):
+    """The box with its negative branches cut off."""
+    return [(max(lo, 0), hi) for lo, hi in box]
 
 
 @st.composite
@@ -181,7 +208,7 @@ def test_leaves_match_brute_oracle(system, extended):
     # entries in [-3, 3] put c < 0, c = 0 and c > 0 into the upper rows and
     # into the sign rows, whose coefficient on the own coordinate is A_aa - 1
     matrix, eff, box = system
-    got = list(_leaves(box, matrix, eff, extended))
+    got = list(_leaves(box if extended else _clamped(box), matrix, eff))
     vectors = [n for n, _ in got]
     assert len(vectors) == len(set(vectors))
     assert set(vectors) == set(lattice_support_brute(matrix, eff, box, extended))
@@ -212,15 +239,15 @@ def _lattice_inputs(draw):
     if draw(st.booleans()):  # z from the signs alone, as for a coupling matrix
         u = u[:2] + (0,) * (m - 2)
     v = tuple(draw(small) * HALF for _ in range(m))
-    w = tuple(draw(small) for _ in range(m))
-    nvec = tuple(draw(st.integers(0, 14)) for _ in range(m))
+    w = tuple(draw(small) for _ in range(m))  # a shift of the cutoffs
+    nvec = tuple(draw(st.integers(0, 14)) + x for x in w)
     box = []
     for _ in range(m):
         lo = draw(st.integers(-2, 1))
         box.append((lo, draw(st.integers(lo, 3))))
     qmax = draw(st.none() | st.integers(-6, 12).map(lambda k: k * HALF))
     zwin = draw(st.none() | st.integers(0, 3))
-    return QuadraticData(matrix, u, v, w), nvec, box, qmax, zwin
+    return QuadraticData(matrix, u, v), nvec, box, qmax, zwin
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -229,19 +256,20 @@ def test_lattice_sum_matches_brute_oracle(inputs, extended):
     # the lattice sum against a plain sum of its summands, on coupling and
     # arbitrary symmetric matrices, with and without truncation
     data, nvec, box, qmax, zwin = inputs
-    eff = [x + w for x, w in zip(nvec, data.w)]
     want = {
         (q, z): c
         for (q, z), c in lattice_sum_brute(
-            data.matrix, data.u, data.v, eff, box, extended
+            data.matrix, data.u, data.v, nvec, box, extended
         ).items()
         if (qmax is None or q <= qmax) and (zwin is None or abs(z) <= zwin)
     }
-    got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin, extended=extended)
+    if not extended:
+        box = _clamped(box)
+    got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)
     assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
     # grouped from the first summand on, which these small sums do not reach
     with mock.patch.object(fermionic, "_FACTOR_MIN", 0, create=True):
-        got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin, extended=extended)
+        got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)
     assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
 
 
@@ -252,7 +280,7 @@ def test_every_leaf_is_a_summand_on_the_tb_sweep():
         box = support_box(site)
         for r in range(p):
             data = QuadraticData.for_site(p, d, r)
-            eff = [c + w for c, w in zip(site.components(), data.w)]
+            eff = (plus - r, minus + r) + levels
             for n, s in _leaves(box, data.matrix, eff):
                 for b, e, t in zip(n, eff, s):
                     top = e + b - t
@@ -278,9 +306,7 @@ def test_lattice_sum_agrees_with_fermionic_wrapper():
         (3, 1, (2, 2, 2)),
     ]:
         site = SiteVector(p, comps[0], comps[1], comps[2:])
-        data = QuadraticData(
-            coupling_matrix(p, d), standard_flow_vector(d + 2), (), ()
-        )
+        data = QuadraticData(coupling_matrix(p, d), standard_flow_vector(d + 2))
         direct = lattice_sum(data, comps, support_box(site))
         assert direct == fermionic_sum(site)
 
@@ -301,7 +327,8 @@ def test_lattice_sum_recurrence_instance():
 def test_lattice_sum_truncation_is_exact():
     site = SiteVector(3, 3, 3, (2, 4))
     full = fermionic_sum(site)
-    cut = fermionic_sum(site, qmax=3, zwin=1)
+    cut = lattice_sum(_site_data(3, 2), site.components(), support_box(site),
+                      qmax=3, zwin=1)
     assert cut == full.truncate_q(3).clip_z(1)
 
 
@@ -309,10 +336,12 @@ def test_lattice_sum_truncation_with_negative_cutoffs():
     # negative sign cutoffs route through the negative-exponent branch of
     # the extended binomials; the truncation bookkeeping must stay exact
     site = SiteVector(2, -1, 4, (2,))
-    assert support_box(site)[0][0] < 0  # the box reaches negative vectors
+    box = support_box(site)
+    assert box[0][0] < 0  # the box reaches negative vectors
     full = fermionic_sum(site)
     for qmax in (-1, 0, 2):
-        cut = fermionic_sum(site, qmax=qmax, zwin=2)
+        cut = lattice_sum(_site_data(2, 1), site.components(), box,
+                          qmax=qmax, zwin=2)
         assert cut == full.truncate_q(qmax).clip_z(2)
 
 
@@ -320,11 +349,11 @@ def test_lattice_sum_truncation_with_negative_cutoffs():
     "u, v, w", [((0,), (0,), (0,)), ((0,), (0,), (1,)), ((1,), (HALF,), (1,))]
 )
 def test_lattice_sum_wide_signed_digits(u, v, w):
-    # Matrix (0) and N = 70: the summand at n is z^(un) q^(vn) X(70+w+n, n).
+    # Matrix (0) and N = 70+w: the summand at n is z^(un) q^(vn) X(70+w+n, n).
     # Below n = -70-w the extended factors are reflected binomials with
     # coefficients beyond 2^64, negative when 70+w is odd; with u = 0 they
     # share one part with the positive standard ones.
-    data = QuadraticData(((0,),), u, v, w)
+    data = QuadraticData(((0,),), u, v)
     box = [(-100, 3)]
     full = sum(
         (
@@ -341,7 +370,7 @@ def test_lattice_sum_wide_signed_digits(u, v, w):
         (Fraction(7, 2), 95),
         (100, 0),
     ):
-        cut = lattice_sum(data, (70,), box, qmax=qmax, zwin=zwin)
+        cut = lattice_sum(data, (70 + w[0],), box, qmax=qmax, zwin=zwin)
         assert cut == full.truncate_q(qmax).clip_z(zwin)
 
 
@@ -362,14 +391,6 @@ def test_lattice_sum_coefficient_at_width_edge():
     wide = lattice_sum(data, (8, 0, 0), [(8, 8), (0, 0), (0, 127)])
     assert wide == qbinomial_ext(16, 8) * 128
     assert max(c for *_, c in wide.terms()) >= 2**15
-
-
-def test_fermionic_sum_cutoff_shift_matches_shifted_site():
-    # the shift w enters only through the binomial tops, so it is the same
-    # as evaluating the plain sum at the shifted site
-    site = SiteVector(2, 2, 1, (2,))
-    for w in [(1, -1, 0), (0, 1, 1), (2, -2, 0)]:
-        assert fermionic_sum(site, w) == fermionic_sum(site.shifted_by(w))
 
 
 def test_lattice_support_nonnegative_under_balance():

@@ -13,13 +13,16 @@ from qchar.supernomial import (
     SiteVector,
     _residue_class,
     multiplicities,
-    second_diff_matrix,
     supernomial,
     supernomial_at1,
     supernomial_lattice_side,
 )
 
-from oracles import product_gf_coeff, widths_from_multiplicities
+from oracles import (
+    product_gf_coeff,
+    second_diff_matrix,
+    widths_from_multiplicities,
+)
 import itertools
 
 
