@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .laurent import BiLaurent, bounded_partition_counts, norm_exp
 from .fermionic import QuadraticData, lattice_sum, support_box
-from .supernomial import SiteVector, multiplicities, supernomial_lattice_side
+from .supernomial import SiteVector, _full_site, supernomial_lattice_side
 
 __all__ = [
     "CharacterValue",
@@ -99,14 +99,23 @@ def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
     return CharacterValue(q_shift, z_shift, BiLaurent(acc))
 
 
-def supernomial_char_poly(p: int, r: int, mult, minus: int) -> BiLaurent:
+def _moved(site: SiteVector, k: int) -> SiteVector:
+    """The site with its sign cutoffs moved to (N_+ - k, N_- + k); same L."""
+    return SiteVector(site.p, site.plus - k, site.minus + k, site.levels)
+
+
+def supernomial_char_poly(r: int, site: SiteVector) -> BiLaurent:
     """Polynomial part of the supernomial character route:
-    sum_m z^m q^(p(m^2+m)/2 - (r+1)m) * supernomial(L, p*m + r + minus),
-    which is the lattice side at minus + r under z -> z q^(p/2 - r - 1).
+    sum_m z^m q^(p(m^2+m)/2 - (r+1)m) * supernomial(L, p*m + N_- + r),
+    which is the lattice side at the moved site (N_+ - r, N_- + r) under
+    z -> z q^(p/2 - r - 1).  ValueError unless 0 <= r < p and L >= 0.
 
     At q = z = 1 the sum picks out the supernomial arguments congruent to
-    r + minus mod p, which is exactly the weight-r dimension count."""
-    return supernomial_lattice_side(p, mult, minus + r).substitute_z(
+    N_- + r mod p, which is exactly the weight-r dimension count."""
+    p = site.p
+    if not 0 <= r < p:
+        raise ValueError("need 0 <= r < p")
+    return supernomial_lattice_side(_moved(site, r)).substitute_z(
         Fraction(p, 2) - r - 1
     )
 
@@ -114,16 +123,8 @@ def supernomial_char_poly(p: int, r: int, mult, minus: int) -> BiLaurent:
 def coinv_char_supernomial(r: int, site: SiteVector) -> CharacterValue:
     """Coinvariant character of weight r by the supernomial route; needs a
     full site vector (d = p-1) with nonnegative multiplicities."""
-    p = site.p
-    if not 0 <= r < p:
-        raise ValueError("need 0 <= r < p")
-    if site.d != p - 1:
-        raise ValueError("supernomial route needs a full site vector (d = p-1)")
-    mult = multiplicities(site)
-    if any(v < 0 for v in mult):
-        raise ValueError(f"negative multiplicity entry in {mult}")
-    q_shift, z_shift = _prefactor(p, r)
-    return CharacterValue(q_shift, z_shift, supernomial_char_poly(p, r, mult, site.minus))
+    _full_site(r, site)
+    return CharacterValue(*_prefactor(site.p, r), supernomial_char_poly(r, site))
 
 
 def coinv_char_fermionic(
@@ -145,7 +146,7 @@ def coinv_char_fermionic(
         raise ValueError("need 0 <= r < p")
     if d > p - 1:
         raise ValueError("fermionic character route needs d <= p-1")
-    moved = SiteVector(p, site.plus - r, site.minus + r, site.levels)
+    moved = _moved(site, r)
     poly = lattice_sum(
         QuadraticData.for_site(p, d, r),
         moved.components(),
@@ -157,24 +158,15 @@ def coinv_char_fermionic(
     return CharacterValue(q_shift, z_shift, poly)
 
 
-def spectral_flow_check(p: int, r: int, site: SiteVector):
-    """Check the flow covariance of the supernomial character polynomial:
-    lowering the minus-cutoff by p equals z q^(p-r-1) composed with the
-    substitution z -> z q^p.  Returns (ok, None) or (False, payload)."""
-    mult = multiplicities(site)
-    if any(v < 0 for v in mult):
-        raise ValueError(f"negative multiplicity entry in {mult}")
-    lhs = supernomial_char_poly(p, r, mult, site.minus - p)
-    rhs = supernomial_char_poly(p, r, mult, site.minus).substitute_z(p).shift(
-        p - r - 1, 1
-    )
+def spectral_flow_check(r: int, site: SiteVector):
+    """Check the flow covariance of the supernomial character polynomial on
+    a full site vector: at the flowed site (N_+ + p, N_- - p), which has the
+    same L, it equals z q^(p-r-1) composed with the substitution z -> z q^p.
+    Returns (ok, None) or (False, payload)."""
+    p, mult = site.p, _full_site(r, site)
+    lhs = supernomial_char_poly(r, _moved(site, -p))
+    rhs = supernomial_char_poly(r, site).substitute_z(p).shift(p - r - 1, 1)
     if lhs == rhs:
         return True, None
-    return False, {
-        "p": p,
-        "r": r,
-        "mult": list(mult),
-        "minus": site.minus,
-        "lhs": lhs.to_json_obj(),
-        "rhs": rhs.to_json_obj(),
-    }
+    return False, {"p": p, "r": r, "mult": list(mult), "minus": site.minus,
+                   "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}

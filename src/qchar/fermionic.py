@@ -91,7 +91,9 @@ class NonFiniteSupportError(ValueError):
 def coupling_matrix(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The (d+2) x (d+2) symmetric coupling matrix over indices (+, -, 0..d-1):
     p on the (+,+) and (-,-) slots, -p+d+1 between + and -, i+1 between a
-    sign and level i, and 2(min(i,j)+1) between levels."""
+    sign and level i, and 2(min(i,j)+1) between levels.  p and d must be
+    exact integers (ValueError otherwise)."""
+    p, d = _exact_int(p), _exact_int(d)
     if p < 2:
         raise ValueError("p must be >= 2")
     if not 0 <= d <= 2 * p - 3:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import BiLaurent
-from .supernomial import SiteVector, _residue_class, multiplicities, supernomial_at1
+from .laurent import BiLaurent, _exact_int
+from .supernomial import SiteVector, _full_site, _residue_class, supernomial_at1
 
 __all__ = [
     "FusionVector",
@@ -37,7 +37,7 @@ class FusionVector:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
+        object.__setattr__(self, "dims", tuple(map(_exact_int, self.dims)))
         if self.p < 1:
             raise ValueError("p must be positive")
         if len(self.dims) != self.p:
@@ -117,14 +117,9 @@ def decompose_site(site: SiteVector) -> tuple[tuple[int, int], ...]:
     whole minus-cutoff is carried by the first pair (the dimension vector
     is insensitive to how it is spread).
 
-    Raises ValueError when some multiplicity is negative (not decomposable).
+    Raises ValueError unless d = p-1 and no multiplicity is negative.
     """
-    p = site.p
-    if site.d != p - 1:
-        raise ValueError("decomposition needs a full site vector (d = p-1)")
-    mult = multiplicities(site)
-    if any(v < 0 for v in mult):
-        raise ValueError(f"not decomposable: multiplicities {mult}")
+    p, mult = site.p, _full_site(0, site)
     pairs = []
     for idx, count in enumerate(mult):
         pairs.extend([(idx + 1, 0)] * count)
@@ -144,30 +139,28 @@ def decompose_site(site: SiteVector) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def dims_via_supernomial(site: SiteVector, r: int) -> int:
-    """Coinvariant dimension of weight r from the supernomial route:
-    sum over a of supernomial_at1(L, p*a + N_- + r).
+def dims_via_supernomial(r: int, site: SiteVector) -> int:
+    """Coinvariant dimension of weight r of a full site vector (d = p-1)
+    from the supernomial route: the sum over a of
+    supernomial_at1(L, p*a + N_- + r).
 
     The arguments run over the residue class of N_- + r mod p, matching the
     root-of-unity extraction in the fusion route."""
-    p = site.p
-    if site.d != p - 1:
-        raise ValueError("supernomial route needs a full site vector (d = p-1)")
-    mult = multiplicities(site)
-    if any(v < 0 for v in mult):
-        raise ValueError(f"not decomposable: multiplicities {mult}")
+    mult = _full_site(r, site)
     return sum(
         supernomial_at1(mult, arg)
-        for _, arg in _residue_class(p, mult, site.minus + r)
+        for _, arg in _residue_class(site.p, mult, site.minus + r)
     )
 
 
-def closed_form_dims(p: int, mult) -> int | None:
-    """Closed form 2^(L_1) 3^(L_2) ... p^(L_{p-1} - 1) (p+1)^(L_p), valid
-    when L_{p-1} >= 1; returns None otherwise."""
-    mult = tuple(int(v) for v in mult)
-    if len(mult) != p:
-        raise ValueError("multiplicity vector must have length p")
+def closed_form_dims(mult) -> int | None:
+    """Closed form 2^(L_1) 3^(L_2) ... p^(L_{p-1} - 1) (p+1)^(L_p) for the
+    multiplicity vector L of a full site, p = len(L) >= 2; valid when
+    L_{p-1} >= 1, returns None otherwise."""
+    mult = tuple(map(_exact_int, mult))
+    p = len(mult)
+    if p < 2:
+        raise ValueError("need a multiplicity vector of length p >= 2")
     if mult[p - 2] < 1:
         return None
     value = 1

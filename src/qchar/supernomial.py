@@ -31,8 +31,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SiteVector:
     """Cutoff vector (N_+, N_-; N_0, ..., N_{d-1}) for the rank-p lattice
-    algebra, with d = len(levels) and 0 <= d <= 2p-3.  Every component must
-    be an exact integer (ValueError otherwise)."""
+    algebra, with d = len(levels) and 0 <= d <= 2p-3.  p and every component
+    must be exact integers (ValueError otherwise)."""
 
     p: int
     plus: int
@@ -40,6 +40,7 @@ class SiteVector:
     levels: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _exact_int(self.p))
         object.__setattr__(self, "plus", _exact_int(self.plus))
         object.__setattr__(self, "minus", _exact_int(self.minus))
         object.__setattr__(self, "levels", tuple(map(_exact_int, self.levels)))
@@ -91,12 +92,22 @@ _SUP1: dict[tuple[tuple[int, ...], int], int] = {}
 
 
 def _check_entries(entries) -> tuple[int, ...]:
-    entries = tuple(int(v) for v in entries)
+    entries = tuple(map(_exact_int, entries))
     if not entries:
         raise ValueError("need at least one entry")
-    if any(v < 0 for v in entries):
-        raise ValueError("supernomial entries must be nonnegative")
+    if min(entries) < 0:
+        raise ValueError(f"negative entry in L = {entries}")
     return entries
+
+
+def _full_site(r: int, site: SiteVector) -> tuple[int, ...]:
+    """L of a full site vector at weight r: the one check of the full-site
+    routes (ValueError unless 0 <= r < p, d = p-1 and L >= 0)."""
+    if not 0 <= r < site.p:
+        raise ValueError("need 0 <= r < p")
+    if site.d != site.p - 1:
+        raise ValueError("need a full site vector (d = p-1)")
+    return _check_entries(multiplicities(site))
 
 
 def supernomial(entries, a: int) -> BiLaurent:
@@ -115,9 +126,11 @@ def supernomial(entries, a: int) -> BiLaurent:
     The binomial factors come packed at that width from one process-wide
     table (see qbinom), so each is packed once per process and width.
     """
-    # every stored key was validated when it was stored
-    poly = _SUP.get((tuple(entries), a))
-    if poly is None:
+    # stored keys hold ints, yet (2.0, 1) == (2, 1) hits one: a hit counts
+    # only when the entries sum to an int, as only a sum of ints does
+    entries = tuple(entries)
+    poly = _SUP.get((entries, a))
+    if poly is None or type(sum(entries)) is not int:
         entries = _check_entries(entries)
         width = _width(math.prod((j + 1) ** v for j, v in enumerate(entries, 1)))
         packed = _packed_binomials(width)
@@ -133,8 +146,9 @@ def supernomial_at1(entries, a: int) -> int:
     """The supernomial evaluated at q = 1: the coefficient of x^a in
     prod_j (1 + x + ... + x^j)^(L_j).  It is the composition sum of
     supernomial with each Gaussian binomial at q = 1 (math.comb)."""
-    val = _SUP1.get((tuple(entries), a))
-    if val is None:
+    entries = tuple(entries)  # as in supernomial
+    val = _SUP1.get((entries, a))
+    if val is None or type(sum(entries)) is not int:
         entries = _check_entries(entries)
         val = sum(value for _, value in _compositions(entries, a, math.comb))
         _SUP1[entries, a] = val
@@ -187,12 +201,13 @@ def _residue_class(p: int, entries, c: int):
         yield a, p * a + c
 
 
-def supernomial_lattice_side(p: int, mult, minus: int) -> BiLaurent:
-    """sum_a z^a q^(p a^2 / 2) supernomial(L, p*a + minus): the supernomial
-    side of the lattice-sum identities."""
-    mult = tuple(mult)
+def supernomial_lattice_side(site: SiteVector) -> BiLaurent:
+    """sum_a z^a q^(p a^2 / 2) supernomial(L, p*a + N_-) with L the
+    multiplicity vector of the site: the supernomial side of the lattice-sum
+    identities.  ValueError when some entry of L is negative."""
+    p, mult = site.p, _check_entries(multiplicities(site))
     out = BiLaurent.zero()
-    for a, arg in _residue_class(p, mult, minus):
+    for a, arg in _residue_class(p, mult, site.minus):
         piece = supernomial(mult, arg)
         if piece:
             out = out + piece.shift(Fraction(p * a * a, 2), a)

@@ -364,7 +364,7 @@ def _check_tb(case):
     p, _, plus, minus, levels = case
     site = SiteVector(p, plus, minus, levels)
     return _compare(_site_params(*case), fermionic_sum(site),
-                    supernomial_lattice_side(p, multiplicities(site), minus))
+                    supernomial_lattice_side(site))
 
 
 def _check_ta(case):
@@ -381,7 +381,7 @@ def _check_ta(case):
     ext = lattice_sum(data, comps, box)
     std = lattice_sum(data, comps, [(max(lo, 0), hi) for lo, hi in box])
     return _compare(params, {"extended": ext, "standard": std},
-                    supernomial_lattice_side(p, multiplicities(site), minus))
+                    supernomial_lattice_side(site))
 
 
 # -- rec ----------------------------------------------------------------------------
@@ -553,7 +553,7 @@ def _cases_flow(opts):
 
 def _check_flow(case):
     p, r, plus, minus, levels = case
-    ok, payload = spectral_flow_check(p, r, SiteVector(p, plus, minus, levels))
+    ok, payload = spectral_flow_check(r, SiteVector(p, plus, minus, levels))
     if not ok:
         return {
             "params": {"p": p, "r": r, "plus": plus, "minus": minus,
@@ -573,10 +573,10 @@ def _check_dims(case):
     site = SiteVector(p, plus, minus, levels)
     params = {"p": p, "r": r, "plus": plus, "minus": minus, "levels": list(levels)}
     char_val = coinv_char_supernomial(r, site).poly.at_q1_z1()
-    sup_val = dims_via_supernomial(site, r)
+    sup_val = dims_via_supernomial(r, site)
     fus_val = fusion_dims(p, decompose_site(site))[r]
     values = {"character": char_val, "supernomial": sup_val, "fusion": fus_val}
-    closed = closed_form_dims(p, multiplicities(site))
+    closed = closed_form_dims(multiplicities(site))
     if closed is not None:
         values["closed_form"] = closed
     if len(set(values.values())) != 1:
@@ -649,11 +649,11 @@ class WorkerPool:
 
 
 def run_identity(
-    identity: str, options=None, jobs: int = 1, pool: WorkerPool | None = None
+    identity: str, options=None, pool: WorkerPool | None = None
 ) -> IdentityReport:
-    """Run one identity sweep on the workers of `pool`, or on a pool of
-    `jobs` workers opened for this sweep alone.  Failures keep case order,
-    so output is reproducible for any worker count."""
+    """Run one identity sweep on the workers of `pool`, or serially without
+    one.  Failures keep case order, so output is reproducible for any worker
+    count."""
     if identity not in _REGISTRY:
         raise ValueError(f"unknown identity {identity!r}")
     gen, checker, defaults = _REGISTRY[identity]
@@ -664,10 +664,8 @@ def run_identity(
     cases = gen(opts)
     if not cases:
         raise ValueError(f"sweep for {identity!r} is empty; widen the ranges")
-    with ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(WorkerPool(jobs))
-        start = time.perf_counter()
-        failures = [r for r in pool.map(checker, cases) if r is not None]
-        ms = int((time.perf_counter() - start) * 1000)
+    start = time.perf_counter()
+    results = map(checker, cases) if pool is None else pool.map(checker, cases)
+    failures = [r for r in results if r is not None]
+    ms = int((time.perf_counter() - start) * 1000)
     return IdentityReport(identity, len(cases), failures, ms)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qchar
 from qchar.laurent import BiLaurent
 from qchar.characters import (
     CharacterValue,
@@ -139,14 +140,33 @@ def test_routes_agree_at_p4_all_weights():
             assert sup.poly.at_q1_z1() == fused[r]
 
 
+@pytest.mark.parametrize("route, full_site_only", [
+    ("coinv_char_fermionic", False),
+    ("coinv_char_supernomial", True),
+    ("supernomial_char_poly", False),
+    ("spectral_flow_check", True),
+    ("dims_via_supernomial", True),
+])
+def test_weight_r_routes_check_weight_and_site(route, full_site_only):
+    fn = getattr(qchar, route)
+    site = SiteVector(3, 2, 1, (1, 2))
+    fn(0, site)
+    bad = [(-1, site), (3, site), (0, SiteVector(3, 1, 1, (1, 1)))]  # L_2 < 0
+    if full_site_only:
+        bad.append((0, SiteVector(3, 1, 1, (1,))))  # d < p-1
+    for r, bad_site in bad:
+        with pytest.raises(ValueError):
+            fn(r, bad_site)
+
+
 def test_spectral_flow_examples():
-    ok, payload = spectral_flow_check(2, 0, SiteVector(2, 1, 1, (1,)))
+    ok, payload = spectral_flow_check(0, SiteVector(2, 1, 1, (1,)))
     assert ok and payload is None
     for r in range(3):
-        ok, _ = spectral_flow_check(3, r, SiteVector(3, 2, 1, (1, 2)))
+        ok, _ = spectral_flow_check(r, SiteVector(3, 2, 1, (1, 2)))
         assert ok
     # zero polynomial on both sides passes trivially
-    ok, _ = spectral_flow_check(2, 0, SiteVector(2, 0, 0, (0,)))
+    ok, _ = spectral_flow_check(0, SiteVector(2, 0, 0, (0,)))
     assert ok
 
 

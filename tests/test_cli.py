@@ -338,7 +338,8 @@ def test_verify_pool_is_bounded_by_cpus_and_cases(monkeypatch):
         monkeypatch.setitem(
             verify._REGISTRY, "knuth", (lambda opts: list(range(ncases)), ok, {})
         )
-        report = verify.run_identity("knuth", jobs=10**6)
+        with verify.WorkerPool(10**6) as pool:
+            report = verify.run_identity("knuth", pool=pool)
         assert (report.cases, report.failures) == (ncases, [])
         return pools
 

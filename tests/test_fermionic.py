@@ -72,6 +72,15 @@ def test_coupling_matrix_range_checks():
         coupling_matrix(3, -1)
 
 
+def test_p_must_be_an_exact_integer():
+    with pytest.raises(ValueError):
+        coupling_matrix(2.5, 0)
+    with pytest.raises(ValueError):
+        SiteVector(2.5, 1, 1)
+    assert coupling_matrix(Fraction(2), 0) == coupling_matrix(2, 0)
+    assert SiteVector(Fraction(2), 1, 1).p == 2
+
+
 def test_quadratic_data_validation():
     with pytest.raises(ValueError):
         QuadraticData(((1, 2), (3, 1)), (1, -1))

@@ -34,6 +34,15 @@ def test_fuse_rejects_mismatched_p():
         fuse(FusionVector.unit(2), FusionVector.unit(3))
 
 
+def test_fusion_entries_must_be_exact_integers():
+    with pytest.raises(ValueError):
+        FusionVector(2, (1.9, 0))
+    with pytest.raises(ValueError):
+        closed_form_dims((1.5, 1))
+    with pytest.raises(ValueError):
+        closed_form_dims((1,))  # p = len(L) must be >= 2
+
+
 def test_elementary_dims_examples():
     assert elementary_dims(3, 3, 0).dims == (2, 1, 1)
     assert elementary_dims(3, 1, 0).dims == (1, 1, 0)
@@ -125,8 +134,8 @@ def test_decompose_rejects_negative_multiplicities():
 
 def test_dims_via_supernomial_examples():
     site = SiteVector(2, 1, 1, (1,))
-    assert dims_via_supernomial(site, 0) == 1
-    assert dims_via_supernomial(site, 1) == 2
+    assert dims_via_supernomial(0, site) == 1
+    assert dims_via_supernomial(1, site) == 2
 
 
 def test_dims_r_sweep_sums_to_width_product():
@@ -138,7 +147,7 @@ def test_dims_r_sweep_sums_to_width_product():
                     mult = multiplicities(site)
                     if any(v < 0 for v in mult):
                         continue
-                    total = sum(dims_via_supernomial(site, r) for r in range(p))
+                    total = sum(dims_via_supernomial(r, site) for r in range(p))
                     expected = 1
                     for idx, count in enumerate(mult):
                         expected *= (idx + 2) ** count
@@ -156,14 +165,14 @@ def test_route_agreement_small_sweep():
                     pairs = decompose_site(site)
                     fused = fusion_dims(p, pairs)
                     for r in range(p):
-                        assert fused[r] == dims_via_supernomial(site, r)
+                        assert fused[r] == dims_via_supernomial(r, site)
 
 
 def test_closed_form_examples():
-    assert closed_form_dims(2, (1, 0)) == 1
-    assert closed_form_dims(2, (2, 0)) == 2
-    assert closed_form_dims(2, (0, 1)) is None
-    assert closed_form_dims(3, (1, 2, 1)) == 2 * 9 * 4 // 3
+    assert closed_form_dims((1, 0)) == 1
+    assert closed_form_dims((2, 0)) == 2
+    assert closed_form_dims((0, 1)) is None
+    assert closed_form_dims((1, 2, 1)) == 2 * 9 * 4 // 3
 
 
 def test_closed_form_matches_fusion_when_applicable():
@@ -175,7 +184,7 @@ def test_closed_form_matches_fusion_when_applicable():
                     mult = multiplicities(site)
                     if any(v < 0 for v in mult):
                         continue
-                    closed = closed_form_dims(p, mult)
+                    closed = closed_form_dims(mult)
                     if closed is None:
                         continue
                     fused = fusion_dims(p, decompose_site(site))

@@ -120,6 +120,21 @@ def test_supernomial_rejects_negative_entry():
         supernomial((1, -1), 0)
 
 
+@pytest.mark.parametrize("route", [supernomial, supernomial_at1],
+                         ids=["supernomial", "supernomial_at1"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_supernomial_rejects_inexact_entries(monkeypatch, route, warm):
+    # fresh tables, so "cold" does not depend on the tests run before
+    monkeypatch.setitem(route.__globals__, "_SUP", {})
+    monkeypatch.setitem(route.__globals__, "_SUP1", {})
+    if warm:
+        route((2, 1), 1)  # stores the key (2, 1), which (2.0, 1) equals
+    for entries in ((2.0, 1), (2.9, 1), (Fraction(5, 2), 1)):
+        with pytest.raises(ValueError):
+            route(entries, 1)
+    assert route((Fraction(2), 1), 1) == route((2, 1), 1)
+
+
 def test_supernomial_at1_examples():
     assert supernomial_at1((1, 1), 1) == 2
     assert supernomial_at1((2,), 1) == 2
@@ -178,7 +193,8 @@ def test_residue_class_sums_match_wide_brute_sums():
                             lattice += piece.shift(Fraction(p * a * a, 2), a)
                             char += piece.shift(p * (a * a + a) // 2 - (r + 1) * a, a)
                             dims += supernomial_at1(mult, p * a + c)
-                        assert supernomial_lattice_side(p, mult, c) == lattice
-                        assert supernomial_char_poly(p, r, mult, minus) == char
-                        assert dims_via_supernomial(site, r) == dims
+                        moved = SiteVector(p, total - c, c, levels)
+                        assert supernomial_lattice_side(moved) == lattice
+                        assert supernomial_char_poly(r, site) == char
+                        assert dims_via_supernomial(r, site) == dims
     assert saw_negative_minus and saw_past_top
