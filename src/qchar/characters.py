@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import BiLaurent, bounded_partition_counts, norm_exp
 from .fermionic import QuadraticData, lattice_sum, support_box
@@ -104,6 +105,19 @@ def _moved(site: SiteVector, k: int) -> SiteVector:
     return SiteVector(site.p, site.plus - k, site.minus + k, site.levels)
 
 
+@lru_cache(maxsize=256)
+def _weight_box(site: SiteVector) -> tuple[tuple[int, int], ...]:
+    """The hull of the support boxes of the site moved by every weight
+    0..p-1.  It contains the certified box at each weight, so the lattice
+    sum over it is exact at every r; and it is the same for every r, so a
+    loop over r walks one level block and shares its level sums (see
+    fermionic._groups).  Built once per site; the bound keeps the cache
+    small."""
+    boxes = [support_box(_moved(site, k)) for k in range(site.p)]
+    return tuple((min(lo for lo, _ in col), max(hi for _, hi in col))
+                 for col in zip(*boxes))
+
+
 def supernomial_char_poly(r: int, site: SiteVector) -> BiLaurent:
     """Polynomial part of the supernomial character route:
     sum_m z^m q^(p(m^2+m)/2 - (r+1)m) * supernomial(L, p*m + N_- + r),
@@ -137,7 +151,8 @@ def coinv_char_fermionic(
     2N_- - N_{d-1} + 2r, and is the one that reproduces the weight-r
     dimension counts.)
 
-    Valid for d <= p-1; for d < p-1 the implied trailing cutoffs
+    The sum runs over _weight_box, the same box for every r.  Valid for
+    d <= p-1; for d < p-1 the implied trailing cutoffs
     N_d = ... = N_{p-2} = N_+ + N_- are understood (pass the truncated site).
     Optional qmax / zwin truncate the result exactly.
     """
@@ -146,11 +161,10 @@ def coinv_char_fermionic(
         raise ValueError("need 0 <= r < p")
     if d > p - 1:
         raise ValueError("fermionic character route needs d <= p-1")
-    moved = _moved(site, r)
     poly = lattice_sum(
         QuadraticData.for_site(p, d, r),
-        moved.components(),
-        support_box(moved),
+        _moved(site, r).components(),
+        _weight_box(site),
         qmax=qmax,
         zwin=zwin,
     )

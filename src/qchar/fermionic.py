@@ -36,7 +36,10 @@ summands with one (x, y) are all pairs of a sign part and a level part,
 and lattice_sum multiplies the two sums once per group instead of the
 factors once per summand.  In coupling_matrix the sign/level block has
 rank one: y is a multiple of sum_i (i+1) n_i and x of n_+ + n_-, the
-chain structure of Andrews' multiple-sum Gordon identities.
+chain structure of Andrews' multiple-sum Gordon identities.  The level
+sums read neither the sign cutoffs nor v on the signs, so lattice_sum
+keeps them once it sees a level block a second time (see _groups): the
+weights r of one coinvariant character share them.
 """
 
 from __future__ import annotations
@@ -398,28 +401,53 @@ def _factor_data(tops, bottoms, e2):
 # per group that a small sum does not win back.  Measured per call on the
 # lattice sums of `qchar verify all`, `verify char-eq --entry-max 6` and
 # `verify tb --nmax 7` (2 vCPUs, Python 3.11.7), grouping from the first
-# summand took 1.21-1.23x the time of no grouping at 4-7 summands,
-# 1.07-1.08x at 12-15, 0.98x at 16-23, 0.93-0.94x at 24-31 and 0.63x at
-# 128-511.
+# summand took 1.2-1.4x the time of no grouping below 12 summands,
+# 0.95-1.05x at 16-31 and 0.8-0.95x at 32-127.  Replayed against the
+# parent commit in one process, with the level table kept from a block's
+# second sighting (see _groups), thresholds of 16, 32 and 64 gave
+# 0.96-1.04x of the parent's time on the sums of `verify all` and of
+# `verify tb --nmax 7`, within the spread of the runs, so 16 stays.
 _FACTOR_MIN = 16
 
 
-def _groups(data, eff, v2, steps):
+# the last level block seen, {key: its level table, or None while it has
+# been seen once}; see _groups.  One entry is enough for a loop over the
+# weights r of a site.
+_LEVELS: dict = {}
+
+
+def _groups(data, eff, v2, box, steps):
     """The summands in the walk of the steps, as groups (sign vectors,
     level sums): every sign vector of a group pairs with every level part
     of its level sums.
 
-    The level block (all but the first two coordinates) is walked once.
-    Until the sum has more than _FACTOR_MIN summands, each leaf of that walk
-    walks its own sign vectors with every row, and each summand is a group
-    of its own, n paired with an empty level part.  The later leaves are
-    grouped by the cross contributions (x, y) of the sign and the level
-    block: the sign vectors at each y are walked once, with the sign rows
-    alone, and grouped by x, and each leaf adds its level part
-    z^(u.n) q^(e2/2) times its binomials to the level sum of each x group
-    its own rows allow, keyed by (z-degree, e2 & 1).  A level sum is
-    [least exponent, |value at q = 1|, [(exponent, pairs)], packed value
-    or None].
+    The level block (all but the first two coordinates) is walked with
+    every row.  Until the sum has more than _FACTOR_MIN summands, each leaf
+    of that walk walks its own sign vectors, and each summand is a group of
+    its own, n paired with an empty level part.  Past that, the summands
+    are grouped by the cross contributions (x, y) of the sign and the
+    level block, through a level table (see _level_table): the sign
+    vectors at each y of the table are walked once per call, with the sign
+    rows alone, and grouped by x, and the level sums of (y, x) are summed
+    from the table's leaves at y once per table.
+
+    A block seen for the first time gets a table of the rest of the walk,
+    used once; the prefix summands stay groups of one.  A block seen again
+    gets a table kept in _LEVELS: the block is walked again with the level
+    rows only (the sign rows get a room no sum of the walk reaches), and
+    the prefix summands are dropped.  So a sum that nothing repeats pays
+    for no table it does not use, and a loop over the weights r of a
+    coinvariant character builds the level sums of its site twice and
+    reads them for every later r.
+
+    The table is keyed by everything the level walk and the level parts
+    read: the matrix, u and v2 on the levels, the level cutoffs and the
+    box.  The weight r of a coinvariant character moves only the sign
+    cutoffs and v on the signs (v2 is 0 on the levels), and
+    coinv_char_fermionic passes one box for every r, so the calls of a
+    loop over r share one key.  Sharing is exact: a kept level sum is the
+    sum over every level leaf at y whose binomials are nonzero at x, and
+    neither the leaves nor those binomials read the sign rows.
     """
     m = len(steps)
     ns = 2
@@ -431,58 +459,128 @@ def _groups(data, eff, v2, steps):
     if m <= ns:  # no level block
         leaves += [(n[:], s) for s, _ in _walk(steps, n, [0] * m)]
         return groups
-    walk = _walk(steps[: m - ns], n, [0] * m)
-    sign_steps = steps[m - ns:]
+    block, sign_steps = steps[: m - ns], steps[m - ns:]
+    walk = _walk(block, n, [0] * m)
     for s, negs in walk:
         _sign_leaves(sign_steps, n, s, negs, leaves)
         if len(leaves) > _FACTOR_MIN:
             break
     else:
         return groups
-    rows, u = data.matrix, data.u
-    eff_l, u_l, v2_l = eff[ns:], u[ns:], v2[ns:]
-    cross = list(zip(*[row[ns:] for row in rows[:ns]]))  # A_LS, row by row
+    key = (data.matrix, data.u[ns:], tuple(v2[ns:]), tuple(eff[ns:]),
+           tuple(box))
+    table = _LEVELS.get(key, ())
+    if table == ():  # first seen: the rest of this walk, used once
+        table = _level_table(data, eff, v2, [(n[ns:], s, g) for s, g in walk])
+        _LEVELS.clear()
+        _LEVELS[key] = None
+    else:
+        if table is None:  # seen again: the whole block, kept
+            # the sign rows get a room above every sum they reach
+            free = [1 + sum(abs(row[a]) * max(-lo, hi)
+                            for lo, hi, row, *_ in block) for a in range(ns)]
+            n = [0] * m
+            walk = _walk([(lo, hi, row, own, free + room[ns:], need)
+                          for lo, hi, row, own, room, need in block],
+                         n, [0] * m)
+            table = _LEVELS[key] = _level_table(
+                data, eff, v2, [(n[ns:], s, g) for s, g in walk])
+        groups = []
+    table_leaves, sums = table
+    cross = list(zip(*[row[ns:] for row in data.matrix[:ns]]))  # A_LS by rows
     cut = [(lo, hi, row[:ns], own, room[:ns], need and need[:ns])
            for lo, hi, row, own, room, need in sign_steps]  # sign rows only
-    tails: dict = {}  # y -> {x: (sign vectors, {(z-degree, e2 & 1): level sum})}
-    for s, negs in walk:
-        y = tuple(s[:ns])
-        tail = tails.get(y)
-        if tail is None:
-            tail = tails[y] = {}
-            signs = []
-            _sign_leaves(cut, n, list(y), (), signs)
-            for n_s, s_s in signs:
-                n_s = n_s[:ns]
-                x = tuple([sum(map(mul, row, n_s)) for row in cross])
-                group = tail.get(x)
-                if group is None:
-                    group = tail[x] = ([], {})
-                group[0].append((n_s, s_s))
-        n_l = n[ns:]
-        s_l = s[ns:]
-        room = [e + b - t for e, b, t in zip(eff_l, n_l, s_l)]
-        z_l = sum(map(mul, u_l, n_l))
-        e2_l = sum(map(mul, n_l, map(add, s_l, v2_l)))
+    n = [0] * ns
+    for y, at_y in table_leaves.items():
+        signs = []
+        _sign_leaves(cut, n, list(y), (), signs)
+        tail: dict = {}  # x -> sign vectors
+        for n_s, s_s in signs:
+            x = tuple([sum(map(mul, row, n_s)) for row in cross])
+            tail.setdefault(x, []).append((n_s, s_s))
         for x, group in tail.items():
-            tops = list(map(sub, room, x))  # eff + n - nA at this x
-            if negs:  # b <= t, and t < 0 for every negative bottom b
-                if any(b > t or t >= 0 > b for t, b in zip(tops, n_l)):
-                    continue
-            elif min(map(sub, tops, n_l)) < 0:
-                continue
-            e2 = e2_l + sum(map(mul, n_l, x))
-            par, lo, bound = _factor_data(tops, n_l, e2)
-            key = (z_l, par)
-            level = group[1].get(key)
+            level = sums.get((y, x))
             if level is None:
-                level = group[1][key] = [lo, 0, [], None]
-            elif lo < level[0]:
-                level[0] = lo
-            level[1] += bound
-            level[2].append((lo, tuple(zip(tops, n_l))))
-    groups += [g for tail in tails.values() for g in tail.values() if g[1]]
+                level = sums[y, x] = _level_sums(at_y, x)
+            if level:
+                groups.append((group, level))
     return groups
+
+
+def _level_table(data, eff, v2, walked):
+    """(leaves, sums) of a level block from the leaves (n_L, nA, negative
+    coordinates) of its walk: leaves maps y = n_L A_LS to the leaves at y,
+    each as (n_L, its binomials' tops before x is taken off, whether some
+    n_a < 0, z-degree, e2 before the cross term); sums, filled by _groups,
+    maps (y, x) to the level sums of _level_sums."""
+    ns = 2
+    eff_l, u_l, v2_l = eff[ns:], data.u[ns:], v2[ns:]
+    leaves: dict = {}
+    for n_l, s, negs in walked:
+        y, s_l = tuple(s[:ns]), s[ns:]
+        leaf = (n_l, tuple([e + b - t for e, b, t in zip(eff_l, n_l, s_l)]),
+                bool(negs), sum(map(mul, u_l, n_l)),
+                sum(map(mul, n_l, map(add, s_l, v2_l))))
+        at_y = leaves.get(y)
+        if at_y is None:
+            leaves[y] = [leaf]
+        else:
+            at_y.append(leaf)
+    return leaves, {}
+
+
+def _level_sums(leaves, x):
+    """The level parts z^(u.n) q^(e2/2) times the binomials of the leaves
+    at the cross contribution x, summed per (z-degree, e2 & 1), over the
+    leaves whose binomials are all nonzero at x.  A level sum is
+    [least exponent, |value at q = 1|, [(exponent, pairs)], (width, packed
+    value) or None]; _level_value packs it."""
+    sums: dict = {}
+    for n_l, room, negs, z_l, e2_l in leaves:
+        tops = list(map(sub, room, x))  # eff + n - nA at this x
+        if negs:  # b <= t, and t < 0 for every negative bottom b
+            if any(b > t or t >= 0 > b for t, b in zip(tops, n_l)):
+                continue
+        elif min(map(sub, tops, n_l)) < 0:
+            continue
+        e2 = e2_l + sum(map(mul, n_l, x))
+        par, lo, bound = _factor_data(tops, n_l, e2)
+        key = (z_l, par)
+        level = sums.get(key)
+        if level is None:
+            level = sums[key] = [lo, 0, [], None]
+        elif lo < level[0]:
+            level[0] = lo
+        level[1] += bound
+        level[2].append((lo, tuple(zip(tops, n_l))))
+    return sums
+
+
+def _level_value(level, width, packed):
+    """The level sum packed at `width` bytes, kept with its width.  The
+    first packing reads the (exponent, pairs) list and then drops it;
+    another width repacks the kept value digit by digit.  Every coefficient
+    fits at any width a lattice sum picks for a product with this level
+    sum.  The kept pair is stored before the list is dropped, so a reader
+    that finds no list finds the pair."""
+    kept = level[3]
+    if kept is not None and kept[0] == width:
+        return kept[1]
+    pairs = level[2]
+    if pairs is not None:
+        bits, low = 8 * width, level[0]
+        value = sum(
+            math.prod([packed[pair] for pair in factors]) << bits * (e - low)
+            for e, factors in pairs
+        )
+    else:
+        old, kept = level[3]
+        digits = _unpack_qdict(kept, old, 0)
+        dense = [digits.get(k, 0) for k in range(max(digits, default=-1) + 1)]
+        value = _pack(dense, width) if dense else 0
+    level[3] = (width, value)
+    level[2] = None
+    return value
 
 
 def lattice_sum(
@@ -514,17 +612,20 @@ def lattice_sum(
     each group holds one summand.  _groups forms the groups from one walk
     of the level block; until a sum has more than _FACTOR_MIN summands it
     keeps them in groups of one, since grouping costs more than it saves
-    on a small sum.  Within a group the level parts are summed per
-    (z-degree, e2 & 1), and each sign part is multiplied by each of those
-    sums once.
+    on a small sum.  A level block seen again keeps its level sums for the
+    calls after it (see _groups).  Within a group the
+    level parts are summed per (z-degree, e2 & 1), and each sign part is
+    multiplied by each of those sums once.
 
     The sum is accumulated in packed ints (see laurent), one per part
     (z-degree, e2 & 1), at one byte width.  Every coefficient is at most
     the sum over the summands of the product of their factors' absolute
     coefficient sums, which fixes the width; a group adds (sign total)
     times (level total), so the bound is the one a summand-by-summand sum
-    gives.  Each binomial, sign part and level sum is packed or multiplied
-    once.
+    gives.  Each binomial is packed once per process and width, each sign
+    part once per call, and each level sum once per level table and width,
+    so a loop over the weights r of a coinvariant character packs the level
+    sums of its site twice, not once per r.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
     zwin, exactly.  A product of a sign part and a level sum is skipped
@@ -538,7 +639,7 @@ def lattice_sum(
     if steps is None:
         return BiLaurent.zero()
     v2 = [int(2 * x) for x in data.v]
-    groups = _groups(data, eff, v2, steps)
+    groups = _groups(data, eff, v2, box, steps)
     u = data.u
     # pair every sign part of a group with each of its level sums
     base: dict = {}  # least exponent of each part
@@ -572,14 +673,8 @@ def lattice_sum(
     for key, lo, sign, level in products:
         if sign[1] is None:
             sign[1] = math.prod([packed[pair] for pair in sign[0]])
-        if level[3] is None:
-            low = level[0]
-            level[3] = sum(
-                math.prod([packed[pair] for pair in pairs]) << bits * (e - low)
-                for e, pairs in level[2]
-            )
-        prod = sign[1] * level[3] << bits * (lo - base[key])
-        parts[key] = parts.get(key, 0) + prod
+        value = sign[1] * _level_value(level, width, packed)
+        parts[key] = parts.get(key, 0) + (value << bits * (lo - base[key]))
     acc = {}
     for key, value in parts.items():
         cap = None if qmax is None else (2 * qmax - key[1]) // 2

@@ -31,12 +31,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FusionVector:
-    """Element of the fusion ring of Z/pZ with nonnegative multiplicities."""
+    """Element of the fusion ring of Z/pZ with nonnegative multiplicities.
+    p and every multiplicity must be exact integers (ValueError otherwise)."""
 
     p: int
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _exact_int(self.p))
         object.__setattr__(self, "dims", tuple(map(_exact_int, self.dims)))
         if self.p < 1:
             raise ValueError("p must be positive")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import BiLaurent, _exact_int, _unpack_qdict, _width
 from .qbinom import _packed_binomials
@@ -89,6 +90,7 @@ def multiplicities(site: SiteVector) -> tuple[int, ...]:
 
 _SUP: dict[tuple[tuple[int, ...], int], BiLaurent] = {}
 _SUP1: dict[tuple[tuple[int, ...], int], int] = {}
+_CHAINS = 4  # supernomial keeps the chains of this many vectors L
 
 
 def _check_entries(entries) -> tuple[int, ...]:
@@ -118,26 +120,23 @@ def supernomial(entries, a: int) -> BiLaurent:
         q^(sum_{i=2..k} n_{i-1} (S_i - n_i)) *
         qbin(L_k, n_k) qbin(L_{k-1} + n_k, n_{k-1}) ... qbin(L_1 + n_2, n_1)
 
-    with S_i = L_i + ... + L_k.  Zero outside 0 <= a <= sum_j j*L_j.
+    with S_i = L_i + ... + L_k.  Zero outside 0 <= a <= sum_j j*L_j.  L
+    and a must be exact integers (ValueError otherwise).
 
-    The sum is accumulated in one packed int (see laurent).  Every
-    coefficient is nonnegative and at most the value at q = 1 summed over
-    all a, prod_j (j+1)^(L_j), which fixes the byte width of the call.
-    The binomial factors come packed at that width from one process-wide
-    table (see qbinom), so each is packed once per process and width.
+    The sum is read off the memoised chain of L (see _chain), which every
+    argument a shares, as one packed int (see laurent).
     """
     # stored keys hold ints, yet (2.0, 1) == (2, 1) hits one: a hit counts
     # only when the entries sum to an int, as only a sum of ints does
     entries = tuple(entries)
     poly = _SUP.get((entries, a))
-    if poly is None or type(sum(entries)) is not int:
-        entries = _check_entries(entries)
-        width = _width(math.prod((j + 1) ** v for j, v in enumerate(entries, 1)))
-        packed = _packed_binomials(width)
-        acc = 0
-        for exp, value in _compositions(entries, a, lambda t, n: packed[t, n]):
-            acc += value << 8 * width * exp
-        poly = BiLaurent.from_qdict(_unpack_qdict(acc, width, 0))
+    if poly is None or type(sum(entries)) is not int or type(a) is not int:
+        entries, a = _check_entries(entries), _exact_int(a)
+        poly = BiLaurent.zero()
+        if 0 <= a <= _top(entries):
+            chain = _chain(entries)
+            low, value = chain.total(len(entries), a, 0)
+            poly = BiLaurent.from_qdict(_unpack_qdict(value, chain.width, low))
         _SUP[entries, a] = poly
     return poly
 
@@ -145,26 +144,96 @@ def supernomial(entries, a: int) -> BiLaurent:
 def supernomial_at1(entries, a: int) -> int:
     """The supernomial evaluated at q = 1: the coefficient of x^a in
     prod_j (1 + x + ... + x^j)^(L_j).  It is the composition sum of
-    supernomial with each Gaussian binomial at q = 1 (math.comb)."""
+    supernomial with each Gaussian binomial at q = 1 (math.comb), walked as
+    a tree (see _compositions) independently of the packed chain."""
     entries = tuple(entries)  # as in supernomial
     val = _SUP1.get((entries, a))
-    if val is None or type(sum(entries)) is not int:
-        entries = _check_entries(entries)
+    if val is None or type(sum(entries)) is not int or type(a) is not int:
+        entries, a = _check_entries(entries), _exact_int(a)
         val = sum(value for _, value in _compositions(entries, a, math.comb))
         _SUP1[entries, a] = val
     return val
 
 
+class _Chain:
+    """The memoised chain behind supernomial for a checked vector
+    L = entries; _chain keeps the chains of the last _CHAINS vectors.
+
+    total(pos, remaining, next_n) is the sum, over the choices of n_pos,
+    ..., n_1 with n_pos + ... + n_1 = remaining and n_{pos+1} = next_n, of
+    q^(sum_{i<=pos} n_i (S_{i+1} - n_{i+1})) times their binomials, as
+    (low, value): a packed int (see laurent) and the exponent of its first
+    digit, the least exponent of the sum, so no stored int holds low zero
+    digits.  supernomial(L, a) is total(k, a, 0).
+
+    The sum under a node does not depend on the path to it, so the nodes
+    at positions 2..k-1 are memoised and each is summed once for every a.
+    A position-k node serves one a, whose value supernomial keeps, and a
+    position-1 node is one shifted binomial, so neither is stored.  Every
+    step exponent n (S_{i+1} - n_{i+1}) is >= 0, since n_{i+1} <= S_{i+1}.
+    n_pos runs up to L_pos + next_n, past which its binomial vanishes, and
+    from what the positions below cannot take up: they take at most
+    W_{pos-1} + (pos-1) n_pos with W_i = sum_{j<=i} j*L_j.  So every node
+    visited is nonzero, and a position-1 node has one term.
+
+    Every coefficient is nonnegative and at most the value at q = 1 summed
+    over all a, prod_j (j+1)^(L_j), which fixes one byte width for every
+    node of L.  The binomials come packed at that width from one
+    process-wide table (see qbinom), so each is packed once per width.
+    The memo is a plain dict of the instance, so an evicted chain is freed
+    at once, without a reference cycle.
+    """
+
+    def __init__(self, entries: tuple[int, ...]):
+        k = len(entries)
+        self.entries = entries
+        bound = math.prod((j + 1) ** v for j, v in enumerate(entries, 1))
+        self.width = _width(bound)
+        self.packed = _packed_binomials(self.width)
+        self.suffix = [0] * (k + 2)  # suffix[i] = S_i
+        for i in range(k, 0, -1):
+            self.suffix[i] = self.suffix[i + 1] + entries[i - 1]
+        self.below = [0] * (k + 1)  # below[i] = W_i
+        for i in range(1, k + 1):
+            self.below[i] = self.below[i - 1] + i * entries[i - 1]
+        self.memo: dict = {}
+
+    def total(self, pos: int, remaining: int, next_n: int) -> tuple[int, int]:
+        if pos == 0:
+            return 0, 1
+        bits, packed, memo = 8 * self.width, self.packed, self.memo
+        top = self.entries[pos - 1] + next_n
+        step = bits * (self.suffix[pos + 1] - next_n)
+        least = max(0, -((self.below[pos - 1] - remaining) // pos))
+        acc = 0
+        for n in range(least, min(top, remaining) + 1):
+            key = (pos - 1, remaining - n, n)
+            if pos == 2:
+                low, value = self.total(*key)
+            else:
+                child = memo.get(key)
+                if child is None:
+                    child = memo[key] = self.total(*key)
+                low, value = child
+            acc += packed[top, n] * value << step * n + bits * low
+        low = ((acc & -acc).bit_length() - 1) // bits
+        return low, acc >> bits * low
+
+
+_chain = lru_cache(maxsize=_CHAINS)(_Chain)
+
+
 def _compositions(entries: tuple[int, ...], a: int, binom):
     """Enumerate contributing compositions (n_1, ..., n_k) of a, yielding
-    (exponent, product of the composition's binomials) for each.
+    (exponent, product of the composition's binomials) for each: the tree
+    of supernomial_at1, which gives binom(top, bottom) as math.comb.
 
-    binom(top, bottom) gives each binomial factor in the ring of the caller
-    (packed ints for supernomial, ints at q = 1 for supernomial_at1), and
-    the products are folded along the composition tree, so a prefix shared
-    by several compositions is multiplied once.  Bounds follow the
-    vanishing of the binomial factors: n_k in [0, L_k], then n_{i} in
-    [0, L_i + n_{i+1}]."""
+    binom gives each binomial factor in the ring of the caller, and the
+    products are folded along the composition tree, so a prefix shared by
+    several compositions is multiplied once.  Bounds follow the vanishing
+    of the binomial factors: n_k in [0, L_k], then n_{i} in
+    [0, L_i + n_{i+1}].  supernomial sums the same tree as a memoised chain
+    (see _chain) instead."""
     k = len(entries)
     if a < 0 or a > _top(entries):
         return

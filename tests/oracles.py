@@ -144,6 +144,48 @@ def poly_mul_brute(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def supernomial_brute(entries, a: int) -> dict:
+    """The q-supernomial of L = entries at a as an {exponent: coefficient}
+    dict, straight from its definition: the sum over every composition
+    (n_1, ..., n_k) of a into k nonnegative parts of
+
+        q^(sum_{i=2..k} n_{i-1} (S_i - n_i)) prod_i [L_i + n_{i+1} choose n_i]
+
+    with S_i = L_i + ... + L_k and n_{k+1} = 0, each Gaussian binomial
+    counted by partitions in a box and the products taken term by term."""
+    k = len(entries)
+    suffix = [sum(entries[i:]) for i in range(k)]  # suffix[i] = S_{i+1}
+    binomials: dict = {}
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    out: dict = {}
+    if a < 0:
+        return out
+    for n in compositions(a, k):
+        factors = []
+        for i in range(k - 1, -1, -1):  # last first: each top stays <= S_i
+            key = (entries[i] + (n[i + 1] if i + 1 < k else 0), n[i])
+            if key not in binomials:
+                binomials[key] = gaussian_binomial_by_boxes(*key)
+            if not binomials[key]:
+                break
+            factors.append(binomials[key])
+        else:
+            poly = {sum(n[i - 1] * (suffix[i] - n[i]) for i in range(1, k)): 1}
+            for f in factors:
+                poly = poly_mul_brute(poly, f)
+            for e, c in poly.items():
+                out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def lattice_support_brute(matrix, eff, box, extended: bool) -> list[tuple]:
     """Every n in the box whose lattice summand has no vanishing factor, by
     a plain scan of the whole box.

@@ -1,6 +1,7 @@
 """Character formulas: prefactors, route equality, flow, stabilization."""
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qchar
+from qchar import fermionic
 from qchar.laurent import BiLaurent
 from qchar.characters import (
     CharacterValue,
@@ -157,6 +159,53 @@ def test_weight_r_routes_check_weight_and_site(route, full_site_only):
     for r, bad_site in bad:
         with pytest.raises(ValueError):
             fn(r, bad_site)
+
+
+@pytest.mark.parametrize("site", [
+    SiteVector(4, 25, 25, (20, 35, 45)),
+    SiteVector(4, 21, 29, (20, 35, 45)),  # the sign box moves with r
+], ids=["coinv-p4", "moving-sign-box"])
+def test_level_sums_are_shared_across_weights(monkeypatch, site):
+    # r = p-1 alone in a fresh table, and after r = 0..p-2 filled it
+    last = site.p - 1
+    monkeypatch.setattr(fermionic, "_LEVELS", {})
+    alone = coinv_char_fermionic(last, site)
+    ((key, _),) = fermionic._LEVELS.items()
+    monkeypatch.setattr(fermionic, "_LEVELS", {})
+    for r in range(last):
+        coinv_char_fermionic(r, site)
+    ((shared, table),) = fermionic._LEVELS.items()
+    assert shared == key  # every weight walks the same level block
+    after = coinv_char_fermionic(last, site)
+    assert fermionic._LEVELS == {key: table}
+    assert after == alone == coinv_char_supernomial(last, site)
+
+
+def test_level_sums_repack_at_another_width(monkeypatch):
+    # a kept level sum has dropped its binomials once packed; a call at a
+    # wider byte width repacks it from the kept value
+    site = SiteVector(4, 25, 25, (20, 35, 45))
+    monkeypatch.setattr(fermionic, "_LEVELS", {})
+    want = [coinv_char_fermionic(r, site) for r in range(2)]
+    width = fermionic._width
+    monkeypatch.setattr(fermionic, "_width", lambda bound: width(bound) + 1)
+    assert [coinv_char_fermionic(r, site) for r in range(2)] == want
+
+
+def test_memo_tables_stay_within_their_bounds():
+    # more vectors L than the chains kept, and a level table per site
+    chain = importlib.import_module("qchar.supernomial")._chain
+    sites = [SiteVector(3, 4 * k, 3 * k, (3 * k, 5 * k)) for k in range(1, 4)]
+    sites += [SiteVector(4, 5 * k, 5 * k, (4 * k, 7 * k, 9 * k))
+              for k in (1, 2, 3)]
+    for site in sites:
+        for r in range(site.p):
+            coinv_char_fermionic(r, site)
+            coinv_char_supernomial(r, site)
+    info = chain.cache_info()
+    assert len({multiplicities(site) for site in sites}) > info.maxsize
+    assert info.currsize == info.maxsize
+    assert len(fermionic._LEVELS) == 1
 
 
 def test_spectral_flow_examples():

@@ -282,6 +282,29 @@ def test_lattice_sum_matches_brute_oracle(inputs, extended):
     assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lattice_inputs(), st.booleans())
+def test_kept_level_table_matches_brute_oracle(inputs, extended):
+    # grouped from the first summand: a block seen once, a block seen again
+    # (its kept table walked with the level rows only) and a table hit all
+    # give the plain sum of the summands, truncations included
+    data, nvec, box, qmax, zwin = inputs
+    want = {
+        (q, z): c
+        for (q, z), c in lattice_sum_brute(
+            data.matrix, data.u, data.v, nvec, box, extended
+        ).items()
+        if (qmax is None or q <= qmax) and (zwin is None or abs(z) <= zwin)
+    }
+    if not extended:
+        box = _clamped(box)
+    with mock.patch.object(fermionic, "_FACTOR_MIN", 0), \
+            mock.patch.object(fermionic, "_LEVELS", {}):
+        for _ in range(3):
+            got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)
+            assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
+
+
 def test_every_leaf_is_a_summand_on_the_tb_sweep():
     # no vector the enumerator yields may have a vanishing factor
     for p, d, plus, minus, levels in _site_cases(2, 4, 5, 2):

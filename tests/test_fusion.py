@@ -1,6 +1,7 @@
 """Fusion products, elementary dimensions, decompositions, closed forms."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,16 @@ def test_fusion_entries_must_be_exact_integers():
         closed_form_dims((1.5, 1))
     with pytest.raises(ValueError):
         closed_form_dims((1,))  # p = len(L) must be >= 2
+
+
+def test_fusion_p_must_be_an_exact_integer():
+    # p = 2.0 used to be kept, and fusing failed on a float sequence count
+    for p in (2.0, 2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            FusionVector(p, (1, 0))
+    a = FusionVector(Fraction(2), (1, 0))
+    assert type(a.p) is int
+    assert (a * FusionVector(2, (0, 1))).dims == (0, 1)
 
 
 def test_elementary_dims_examples():

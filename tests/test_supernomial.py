@@ -1,7 +1,9 @@
 """Supernomial coefficients, the second-difference matrix, site vectors."""
 
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +23,7 @@ from qchar.supernomial import (
 from oracles import (
     product_gf_coeff,
     second_diff_matrix,
+    supernomial_brute,
     widths_from_multiplicities,
 )
 import itertools
@@ -133,6 +136,50 @@ def test_supernomial_rejects_inexact_entries(monkeypatch, route, warm):
         with pytest.raises(ValueError):
             route(entries, 1)
     assert route((Fraction(2), 1), 1) == route((2, 1), 1)
+
+
+def _fresh_tables(monkeypatch, route):
+    """Empty result tables and chain cache for the supernomial module."""
+    monkeypatch.setitem(route.__globals__, "_SUP", {})
+    monkeypatch.setitem(route.__globals__, "_SUP1", {})
+    chain = route.__globals__["_chain"]
+    monkeypatch.setitem(route.__globals__, "_chain",
+                        lru_cache(maxsize=chain.cache_parameters()["maxsize"])(
+                            chain.__wrapped__))
+
+
+@pytest.mark.parametrize("route", [supernomial, supernomial_at1],
+                         ids=["supernomial", "supernomial_at1"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_supernomial_rejects_inexact_argument(monkeypatch, route, warm):
+    # a float argument used to hit a stored int key (warm) or fail inside
+    # range (cold); a proper fraction must not be rounded either
+    _fresh_tables(monkeypatch, route)
+    if warm:
+        route((2, 2), 1)  # stores the key 1, which 1.0 equals
+    for a in (1.0, 1.5, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            route((2, 2), a)
+    assert route((2, 2), Fraction(1)) == route((2, 2), 1)
+
+
+def test_supernomial_matches_brute_oracle(monkeypatch):
+    # the memoised chain and the q = 1 tree against the definition, on
+    # random L with entries <= 4 and length <= 4, at every argument from
+    # below to above the support
+    _fresh_tables(monkeypatch, supernomial)
+    rng = random.Random(18)
+    vectors = [(4, 4, 4, 4), (0, 0, 3, 4), (4,)] + [
+        tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
+        for _ in range(16)
+    ]
+    for entries in vectors:
+        top = sum((i + 1) * v for i, v in enumerate(entries))
+        for a in range(-1, top + 2):
+            want = supernomial_brute(entries, a)
+            got = supernomial(entries, a)
+            assert {q: c for q, z, c in got.terms()} == want, (entries, a)
+            assert supernomial_at1(entries, a) == sum(want.values())
 
 
 def test_supernomial_at1_examples():
