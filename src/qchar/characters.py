@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import BiLaurent, bounded_partition_counts, norm_exp
+from .laurent import BiLaurent, _exact_int, bounded_partition_counts, norm_exp
 from .fermionic import QuadraticData, lattice_sum, support_box
 from .supernomial import SiteVector, _full_site, supernomial_lattice_side
 
@@ -81,7 +81,9 @@ def _prefactor(p: int, r: int) -> tuple:
 
 def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
     """Character of the weight-r irreducible: prefactor times the truncation
-    of (1/(q)_inf) * sum_n z^n q^(p(n^2+n)/2 - n(r+1))."""
+    of (1/(q)_inf) * sum_n z^n q^(p(n^2+n)/2 - n(r+1)).  p, r and the
+    cutoffs must be exact integers (ValueError otherwise)."""
+    p, r, qmax, zwin = map(_exact_int, (p, r, qmax, zwin))
     if p < 1:
         raise ValueError("p must be positive")
     if not 0 <= r < p:
@@ -98,6 +100,12 @@ def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
             acc[(exponent + j, n)] = acc.get((exponent + j, n), 0) + c
     q_shift, z_shift = _prefactor(p, r)
     return CharacterValue(q_shift, z_shift, BiLaurent(acc))
+
+
+def _shift(p: int, r: int) -> Fraction:
+    """p/2 - r - 1, the exponent shift of the weight-r routes: z -> z q^shift
+    in supernomial_char_poly and v = shift*u in coinv_char_fermionic."""
+    return Fraction(p, 2) - r - 1
 
 
 def _moved(site: SiteVector, k: int) -> SiteVector:
@@ -126,12 +134,10 @@ def supernomial_char_poly(r: int, site: SiteVector) -> BiLaurent:
 
     At q = z = 1 the sum picks out the supernomial arguments congruent to
     N_- + r mod p, which is exactly the weight-r dimension count."""
-    p = site.p
+    p, r = site.p, _exact_int(r)
     if not 0 <= r < p:
         raise ValueError("need 0 <= r < p")
-    return supernomial_lattice_side(_moved(site, r)).substitute_z(
-        Fraction(p, 2) - r - 1
-    )
+    return supernomial_lattice_side(_moved(site, r)).substitute_z(_shift(p, r))
 
 
 def coinv_char_supernomial(r: int, site: SiteVector) -> CharacterValue:
@@ -154,15 +160,16 @@ def coinv_char_fermionic(
     The sum runs over _weight_box, the same box for every r.  Valid for
     d <= p-1; for d < p-1 the implied trailing cutoffs
     N_d = ... = N_{p-2} = N_+ + N_- are understood (pass the truncated site).
-    Optional qmax / zwin truncate the result exactly.
+    Optional qmax / zwin truncate the result exactly; they may be
+    half-integers, and r must be an exact integer (ValueError otherwise).
     """
-    p, d = site.p, site.d
+    p, d, r = site.p, site.d, _exact_int(r)
     if not 0 <= r < p:
         raise ValueError("need 0 <= r < p")
     if d > p - 1:
         raise ValueError("fermionic character route needs d <= p-1")
     poly = lattice_sum(
-        QuadraticData.for_site(p, d, r),
+        QuadraticData.for_site(p, d, _shift(p, r)),
         _moved(site, r).components(),
         _weight_box(site),
         qmax=qmax,

@@ -156,12 +156,11 @@ class QuadraticData:
 
     @classmethod
     @lru_cache(maxsize=256)
-    def for_site(cls, p: int, d: int, r: int = 0) -> "QuadraticData":
-        """Coupling data of the weight-r coinvariant character: exponent
-        shift v = (p/2-r-1)u over the standard matrix.  Built and validated
-        once per (p, d, r); the bound keeps the cache small."""
+    def for_site(cls, p: int, d: int, shift=0) -> "QuadraticData":
+        """Coupling matrix of (p, d), z-grading u = (1, -1, 0, ...) and
+        exponent shift v = shift*u.  Built and validated once per
+        (p, d, shift); the bound keeps the cache small."""
         u = standard_flow_vector(d + 2)
-        shift = Fraction(p, 2) - r - 1
         return cls(coupling_matrix(p, d), u, tuple(shift * x for x in u))
 
 
@@ -696,16 +695,8 @@ def fermionic_sum(site: SiteVector) -> BiLaurent:
     (p, d), z-grading (1, -1, 0, ...), no linear exponent shift.
     Finiteness requires the multiplicity vector of the site to be
     nonnegative."""
-    return lattice_sum(
-        _site_data(site.p, site.d), site.components(), support_box(site)
-    )
-
-
-@lru_cache(maxsize=256)
-def _site_data(p: int, d: int) -> QuadraticData:
-    """The QuadraticData of fermionic_sum at (p, d), validated once per
-    (p, d); the bound keeps the cache small."""
-    return QuadraticData(coupling_matrix(p, d), standard_flow_vector(d + 2))
+    data = QuadraticData.for_site(site.p, site.d)
+    return lattice_sum(data, site.components(), support_box(site))
 
 
 def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
@@ -716,14 +707,16 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     The truncation is exact: every weight starts at q^0, so a term of
     q-degree <= qmax needs n A n + v2.n <= 2 qmax (v2 = 2v), and _ellipsoid
     yields exactly those n; for d <= p-1, n A n >= |n|^2 on n >= 0.
+    p, d, r and the cutoffs must be exact integers (ValueError otherwise).
     """
+    p, d, r, qmax, zwin = map(_exact_int, (p, d, r, qmax, zwin))
     if not 0 <= d <= p - 1:
         raise ValueError("need 0 <= d <= p-1")
     if not 0 <= r < p:
         raise ValueError("need 0 <= r < p")
     if qmax < 0 or zwin < 0:
         raise ValueError("cutoffs must be nonnegative")
-    data = QuadraticData.for_site(p, d, r)
+    data = QuadraticData.for_site(p, d, Fraction(p, 2) - r - 1)
     v2 = tuple(int(2 * x) for x in data.v)
     acc: dict = {}
     for n in _ellipsoid(data.matrix, v2, 2 * qmax):

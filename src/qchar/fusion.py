@@ -79,7 +79,9 @@ def fuse(a: FusionVector, b: FusionVector) -> FusionVector:
 
 def elementary_dims(p: int, i: int, j: int) -> FusionVector:
     """Dimension vector of the elementary cutoff (i, j):
-    dims[r] = #{n : 0 <= p*n + j + r <= i}."""
+    dims[r] = #{n : 0 <= p*n + j + r <= i}.  p, i and j must be exact
+    integers (ValueError otherwise)."""
+    p, i, j = map(_exact_int, (p, i, j))
     if not 0 <= i <= p:
         raise ValueError("need 0 <= i <= p")
     dims = []
@@ -94,10 +96,12 @@ def fusion_dims(p: int, pairs) -> FusionVector:
     """Dimension vector of a fused family of elementary cutoffs.
 
     Expands the product over pairs (i, j) of z^(-j) + z^(-j+1) + ... + z^(-j+i)
-    in the ring Z[z]/(z^p - 1); the empty product is the unit.
+    in the ring Z[z]/(z^p - 1); the empty product is the unit.  p and every
+    i and j must be exact integers (ValueError otherwise).
     """
-    poly = BiLaurent.one()
-    for i, j in pairs:
+    p, poly = _exact_int(p), BiLaurent.one()
+    for pair in pairs:
+        i, j = map(_exact_int, pair)
         if not 0 <= i <= p:
             raise ValueError("need 0 <= i <= p in every pair")
         poly = poly * BiLaurent({(0, t - j): 1 for t in range(i + 1)})
@@ -106,7 +110,9 @@ def fusion_dims(p: int, pairs) -> FusionVector:
 
 def elementary_site(p: int, i: int, j: int) -> SiteVector:
     """The site vector of the elementary cutoff (i, j):
-    (i-j, j; 1, 2, ..., i-1, i, ..., i) with d = p-1 level entries."""
+    (i-j, j; 1, 2, ..., i-1, i, ..., i) with d = p-1 level entries.  p, i
+    and j must be exact integers (ValueError otherwise)."""
+    p, i, j = map(_exact_int, (p, i, j))
     if not 0 <= i <= p:
         raise ValueError("need 0 <= i <= p")
     levels = tuple(min(m + 1, i) for m in range(p - 1))

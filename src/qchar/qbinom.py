@@ -31,25 +31,19 @@ from .laurent import BiLaurent, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
 
-_POCH: dict[int, BiLaurent] = {0: BiLaurent.one()}
 _EXT_QDICT: dict[tuple[int, int], dict] = {}
 _PACKED: dict[int, "_PackedBinomials"] = {}
 
 
 def qpochhammer(n: int) -> BiLaurent:
-    """(q)_n = (1-q)(1-q^2)...(1-q^n); (q)_0 = 1."""
+    """(q)_n = (1-q)(1-q^2)...(1-q^n); (q)_0 = 1.  The factors are multiplied
+    into a dense coefficient list on each call, and nothing is kept."""
     if n < 0:
         raise ValueError("qpochhammer needs n >= 0")
-    poly = _POCH.get(n)
-    if poly is None:
-        # the table always holds the indices 0..len-1; extend it upward
-        k = len(_POCH) - 1
-        poly = _POCH[k]
-        while k < n:
-            k += 1
-            poly = poly * BiLaurent({(0, 0): 1, (k, 0): -1})
-            _POCH[k] = poly
-    return poly
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs = list(map(sub, coeffs + [0] * k, [0] * k + coeffs))
+    return BiLaurent.from_qdict(dict(enumerate(coeffs)))
 
 
 def qbinomial(n: int, m: int) -> BiLaurent:

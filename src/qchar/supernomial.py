@@ -89,7 +89,6 @@ def multiplicities(site: SiteVector) -> tuple[int, ...]:
 # -- supernomials ----------------------------------------------------------
 
 _SUP: dict[tuple[tuple[int, ...], int], BiLaurent] = {}
-_SUP1: dict[tuple[tuple[int, ...], int], int] = {}
 _CHAINS = 4  # supernomial keeps the chains of this many vectors L
 
 
@@ -104,8 +103,9 @@ def _check_entries(entries) -> tuple[int, ...]:
 
 def _full_site(r: int, site: SiteVector) -> tuple[int, ...]:
     """L of a full site vector at weight r: the one check of the full-site
-    routes (ValueError unless 0 <= r < p, d = p-1 and L >= 0)."""
-    if not 0 <= r < site.p:
+    routes (ValueError unless r is an exact integer with 0 <= r < p,
+    d = p-1 and L >= 0)."""
+    if not 0 <= _exact_int(r) < site.p:
         raise ValueError("need 0 <= r < p")
     if site.d != site.p - 1:
         raise ValueError("need a full site vector (d = p-1)")
@@ -144,15 +144,10 @@ def supernomial(entries, a: int) -> BiLaurent:
 def supernomial_at1(entries, a: int) -> int:
     """The supernomial evaluated at q = 1: the coefficient of x^a in
     prod_j (1 + x + ... + x^j)^(L_j).  It is the composition sum of
-    supernomial with each Gaussian binomial at q = 1 (math.comb), walked as
-    a tree (see _compositions) independently of the packed chain."""
-    entries = tuple(entries)  # as in supernomial
-    val = _SUP1.get((entries, a))
-    if val is None or type(sum(entries)) is not int or type(a) is not int:
-        entries, a = _check_entries(entries), _exact_int(a)
-        val = sum(value for _, value in _compositions(entries, a, math.comb))
-        _SUP1[entries, a] = val
-    return val
+    supernomial with each Gaussian binomial at q = 1, summed over the tree
+    of _compositions on every call, independently of the packed chain.  L
+    and a must be exact integers (ValueError otherwise)."""
+    return sum(_compositions(_check_entries(entries), _exact_int(a)))
 
 
 class _Chain:
@@ -223,38 +218,30 @@ class _Chain:
 _chain = lru_cache(maxsize=_CHAINS)(_Chain)
 
 
-def _compositions(entries: tuple[int, ...], a: int, binom):
-    """Enumerate contributing compositions (n_1, ..., n_k) of a, yielding
-    (exponent, product of the composition's binomials) for each: the tree
-    of supernomial_at1, which gives binom(top, bottom) as math.comb.
+def _compositions(entries: tuple[int, ...], a: int):
+    """The tree of supernomial_at1: yield, once for each composition
+    (n_1, ..., n_k) of a whose Gaussian binomials are all nonzero, the
+    product of those binomials at q = 1 (math.comb).
 
-    binom gives each binomial factor in the ring of the caller, and the
-    products are folded along the composition tree, so a prefix shared by
-    several compositions is multiplied once.  Bounds follow the vanishing
-    of the binomial factors: n_k in [0, L_k], then n_{i} in
-    [0, L_i + n_{i+1}].  supernomial sums the same tree as a memoised chain
-    (see _chain) instead."""
-    k = len(entries)
+    The products are folded along the composition tree, so a prefix shared
+    by several compositions is multiplied once.  Bounds follow the
+    vanishing of the binomial factors: n_k in [0, L_k], then n_i in
+    [0, L_i + n_{i+1}].  supernomial sums the same tree, with its
+    exponents, as a memoised chain (see _chain) instead."""
     if a < 0 or a > _top(entries):
         return
-    suffix = [0] * (k + 2)
-    for i in range(k, 0, -1):
-        suffix[i] = suffix[i + 1] + entries[i - 1]
 
-    # Assign n_k, ..., n_2 recursively; n_1 is forced by the total.  At
-    # pos = k, next_n = 0 and suffix[k + 1] = 0.
-    def rec(pos: int, remaining: int, next_n: int, exp: int, factors):
+    # Assign n_k, ..., n_2 recursively; n_1 is forced by the total.
+    def rec(pos: int, remaining: int, next_n: int, factors: int):
         top = entries[pos - 1] + next_n
         if pos == 1:
             if remaining <= top:
-                exp += remaining * (suffix[2] - next_n)
-                yield exp, factors * binom(top, remaining)
+                yield factors * math.comb(top, remaining)
             return
         for n in range(0, min(top, remaining) + 1):
-            e = exp + n * (suffix[pos + 1] - next_n)
-            yield from rec(pos - 1, remaining - n, n, e, factors * binom(top, n))
+            yield from rec(pos - 1, remaining - n, n, factors * math.comb(top, n))
 
-    yield from rec(k, a, 0, 0, 1)
+    yield from rec(len(entries), a, 0, 1)
 
 
 def _top(entries) -> int:

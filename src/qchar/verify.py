@@ -48,7 +48,6 @@ from .supernomial import (
 )
 from .fermionic import (
     QuadraticData,
-    _site_data,
     coupling_matrix,
     fermionic_sum,
     lattice_sum,
@@ -371,7 +370,7 @@ def _check_ta(case):
     p, d, plus, minus, levels = case
     site = SiteVector(p, plus, minus, levels)
     params = _site_params(*case)
-    data = _site_data(p, d)
+    data = QuadraticData.for_site(p, d)
     box = support_box(site)
     comps = site.components()
     vectors = lattice_support(data, comps, box)

@@ -186,6 +186,27 @@ def supernomial_brute(entries, a: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def nonzero_compositions(entries, a: int) -> list[tuple]:
+    """Every composition (n_1, ..., n_k) of a into k = len(entries)
+    nonnegative parts whose Gaussian binomials [L_i + n_{i+1} choose n_i]
+    (n_{k+1} = 0) are all nonzero, that is n_i <= L_i + n_{i+1} for each i.
+    Each is given as the tuple of its binomials' (top, bottom) pairs.  The
+    compositions come from stars and bars: k - 1 bars among a + k - 1
+    slots."""
+    k = len(entries)
+    out = []
+    if a < 0:
+        return out
+    slots = a + k - 1
+    for bars in itertools.combinations(range(slots), k - 1):
+        cuts = (-1,) + bars + (slots,)
+        n = [cuts[i + 1] - cuts[i] - 1 for i in range(k)] + [0]
+        pairs = tuple((entries[i] + n[i + 1], n[i]) for i in range(k))
+        if all(bottom <= top for top, bottom in pairs):
+            out.append(pairs)
+    return out
+
+
 def lattice_support_brute(matrix, eff, box, extended: bool) -> list[tuple]:
     """Every n in the box whose lattice summand has no vanishing factor, by
     a plain scan of the whole box.

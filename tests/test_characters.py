@@ -161,6 +161,32 @@ def test_weight_r_routes_check_weight_and_site(route, full_site_only):
             fn(r, bad_site)
 
 
+FULL_SITE = SiteVector(3, 2, 1, (1, 2))
+
+
+@pytest.mark.parametrize("route, args", [
+    ("rep_character", (2, 0, 2.0, 1)),
+    ("rep_character", (2.5, 0, 2, 1)),
+    ("rep_character", (2, 0.0, 2, 1)),
+    ("gordon_series", (2, 0, 0, 2.0, 1)),
+    ("gordon_series", (2, 0, 0.0, 2, 1)),
+    ("gordon_series", (2, 0, 0, 2, 1.5)),
+    ("gordon_series", (2.0, 0, 0, 2, 1)),
+    ("gordon_series", (2, 0.0, 0, 2, 1)),
+    ("elementary_dims", (2.0, 1, 0)),
+    ("elementary_site", (2.0, 1, 0)),
+    ("fusion_dims", (2.0, [(1, 0)])),
+    ("fusion_dims", (2, [(1.0, 0)])),
+    ("dims_via_supernomial", (0.0, FULL_SITE)),
+    ("coinv_char_supernomial", (0.0, FULL_SITE)),
+])
+def test_public_routes_reject_inexact_numbers(route, args):
+    # a float is never truncated, nor let through to fail as a TypeError
+    # (or to return a value) somewhere inside
+    with pytest.raises(ValueError, match="not an exact integer"):
+        getattr(qchar, route)(*args)
+
+
 @pytest.mark.parametrize("site", [
     SiteVector(4, 25, 25, (20, 35, 45)),
     SiteVector(4, 21, 29, (20, 35, 45)),  # the sign box moves with r

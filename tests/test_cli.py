@@ -6,6 +6,8 @@ import inspect
 import itertools
 import json
 import os
+import pkgutil
+import re
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +24,7 @@ from qchar.verify import REPORT_SCHEMA
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 TRACER = EXPECTED.with_name("tracer.py")
+README = EXPECTED.parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -495,6 +498,59 @@ def test_every_traced_helper_is_present():
             assert inspect.isgeneratorfunction(inspect.unwrap(fn))
     finally:
         t.uninstall()
+
+
+def _memo_tables_in_src():
+    """module.name of every module-level dict named _UPPER and every
+    functools cache (module functions and class attributes) in qchar."""
+    # constant configuration, filled at import and never written: the
+    # identity registry of verify (which cli imports) and cli's defaults
+    constants = {"_REGISTRY", "_GLOBAL_DEFAULTS"}
+    found = set()
+    for info in pkgutil.iter_modules(qchar.__path__):
+        module = importlib.import_module(f"qchar.{info.name}")
+        for attr, value in vars(module).items():
+            name = f"{info.name}.{attr}"
+            if isinstance(value, dict):
+                if re.fullmatch(r"_[A-Z][A-Z0-9_]*", attr) and attr not in constants:
+                    found.add(name)
+            elif getattr(value, "__module__", None) != module.__name__:
+                continue  # imported from another module, or a builtin
+            elif hasattr(value, "cache_info"):
+                found.add(name)
+            elif isinstance(value, type):
+                found.update(
+                    f"{name}.{key}" for key, member in vars(value).items()
+                    if hasattr(getattr(member, "__func__", member), "cache_info"))
+    return found
+
+
+def _readme_memo_tables():
+    """The names in the first column of README's memo table; a name without
+    a module takes the module of the name before it in its cell."""
+    modules = {info.name for info in pkgutil.iter_modules(qchar.__path__)}
+    rows = README.read_text().split("Memo tables.", 1)[1].split("\n\n")[1]
+    names = set()
+    for row in rows.splitlines()[2:]:
+        module = None
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            if name.split(".")[0] in modules:
+                module = name.split(".")[0]
+            else:
+                assert module, f"no module for {name!r} in: {row}"
+                name = f"{module}.{name}"
+            names.add(name)
+    return names
+
+
+def test_readme_lists_every_memo_table():
+    listed = _readme_memo_tables()
+    assert _memo_tables_in_src() <= listed
+    for name in listed:  # every row names an object that exists
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"qchar.{module}")
+        for attr in path:
+            obj = getattr(obj, attr)
 
 
 def test_verify_tb_default_sweep_size(capsys):

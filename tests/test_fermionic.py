@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import fermionic
-from qchar.laurent import BiLaurent
+from qchar.laurent import BiLaurent, bounded_partition_counts
 from qchar.fermionic import (
     NonFiniteSupportError,
     _ellipsoid,
     _leaves,
-    _site_data,
     QuadraticData,
     coupling_matrix,
     fermionic_sum,
@@ -112,18 +111,18 @@ def test_inputs_must_be_exact_integers():
 
 def test_site_data_is_cached_and_still_validated():
     matrix, u = coupling_matrix(3, 1), (1, -1, 0)
-    for build, args, want in [
-        (_site_data, (3, 1), QuadraticData(matrix, u)),
-        (QuadraticData.for_site, (3, 1, 2),
-         QuadraticData(matrix, u, (-3 * HALF, 3 * HALF, 0))),
+    for args, want in [
+        ((3, 1), QuadraticData(matrix, u)),
+        ((3, 1, -3 * HALF), QuadraticData(matrix, u, (-3 * HALF, 3 * HALF, 0))),
     ]:
-        data = build(*args)
-        assert data is build(*args)
+        data = QuadraticData.for_site(*args)
+        assert data is QuadraticData.for_site(*args)
         assert data == want
     with pytest.raises(ValueError):  # nvec one entry too long
-        lattice_sum(_site_data(2, 0), (1, 1, 0), support_box(SiteVector(2, 1, 1)))
+        lattice_sum(QuadraticData.for_site(2, 0), (1, 1, 0),
+                    support_box(SiteVector(2, 1, 1)))
     with pytest.raises(ValueError):
-        QuadraticData.for_site(1, 0, 0)  # p < 2
+        QuadraticData.for_site(1, 0)  # p < 2
 
 
 def test_support_box_contains_small_square():
@@ -180,7 +179,7 @@ def test_lattice_support_matches_brute_oracle():
         box = support_box(SiteVector(p, plus, minus, levels))
         for r in range(p):
             moved = (plus - r, minus + r) + levels
-            agree(QuadraticData.for_site(p, d, r), moved, box)
+            agree(QuadraticData.for_site(p, d, Fraction(p, 2) - r - 1), moved, box)
     for _, m, diag, nvec, u, _, _ in _cases_rec_diag({"seed": 0, "count": 60}):
         matrix = [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
         box = [(-2, nvec[b] // diag[b] + 2) for b in range(m)]
@@ -311,7 +310,7 @@ def test_every_leaf_is_a_summand_on_the_tb_sweep():
         site = SiteVector(p, plus, minus, levels)
         box = support_box(site)
         for r in range(p):
-            data = QuadraticData.for_site(p, d, r)
+            data = QuadraticData.for_site(p, d, Fraction(p, 2) - r - 1)
             eff = (plus - r, minus + r) + levels
             for n, s in _leaves(box, data.matrix, eff):
                 for b, e, t in zip(n, eff, s):
@@ -359,8 +358,8 @@ def test_lattice_sum_recurrence_instance():
 def test_lattice_sum_truncation_is_exact():
     site = SiteVector(3, 3, 3, (2, 4))
     full = fermionic_sum(site)
-    cut = lattice_sum(_site_data(3, 2), site.components(), support_box(site),
-                      qmax=3, zwin=1)
+    cut = lattice_sum(QuadraticData.for_site(3, 2), site.components(),
+                      support_box(site), qmax=3, zwin=1)
     assert cut == full.truncate_q(3).clip_z(1)
 
 
@@ -372,7 +371,7 @@ def test_lattice_sum_truncation_with_negative_cutoffs():
     assert box[0][0] < 0  # the box reaches negative vectors
     full = fermionic_sum(site)
     for qmax in (-1, 0, 2):
-        cut = lattice_sum(_site_data(2, 1), site.components(), box,
+        cut = lattice_sum(QuadraticData.for_site(2, 1), site.components(), box,
                           qmax=qmax, zwin=2)
         assert cut == full.truncate_q(qmax).clip_z(2)
 
@@ -495,6 +494,17 @@ def test_ellipsoid_matches_box_scan(form):
 def test_ellipsoid_rejects_indefinite_form():
     with pytest.raises(ValueError):
         list(_ellipsoid([[1, 2], [2, 1]], [0, 0], 4))
+
+
+def test_partition_counts_stay_within_their_bound():
+    # the Gordon series ask for more partition counts than are kept
+    bounded_partition_counts.cache_clear()  # so every distinct ask misses
+    info = bounded_partition_counts.cache_info
+    assert info().maxsize >= 409  # what gordon_series(4, 3, 1, 80, 6) asks
+    for qmax in range(20, 160, 20):
+        gordon_series(2, 1, 0, qmax, 2)
+    assert info().misses > info().maxsize
+    assert info().currsize <= info().maxsize
 
 
 def test_gordon_series_validation():

@@ -11,9 +11,13 @@ from qchar import qbinom
 from qchar.fermionic import QuadraticData, _summands, fermionic_sum, lattice_sum
 from qchar.laurent import BiLaurent, _unpack_qdict
 from qchar.qbinom import ext_min_qexp, qbinomial, qbinomial_ext, qpochhammer
-from qchar.supernomial import SiteVector, _compositions, supernomial
+from qchar.supernomial import SiteVector, supernomial
 
-from oracles import gaussian_binomial_by_boxes, laurent_coeff_one_plus_inv_z
+from oracles import (
+    gaussian_binomial_by_boxes,
+    laurent_coeff_one_plus_inv_z,
+    nonzero_compositions,
+)
 
 
 def qpoly(*pairs):
@@ -39,9 +43,9 @@ def _stack_depth():
 
 
 def test_qpochhammer_uses_constant_stack():
-    # many more new table entries than spare stack frames: filling the
-    # table recursively would raise RecursionError
-    n = len(qbinom._POCH) + 120
+    # many more factors than spare stack frames: multiplying them
+    # recursively would raise RecursionError
+    n = 200
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 40)
     try:
@@ -178,15 +182,7 @@ def test_each_binomial_is_packed_once_per_width(monkeypatch):
     monkeypatch.setattr(qbinom, "_pack", counting)
 
     def composition_pairs(entries, a):
-        pairs = set()
-
-        def record(top, bottom):
-            pairs.add((top, bottom))
-            return 1
-
-        for _ in _compositions(entries, a, record):
-            pass
-        return pairs
+        return set().union(*nonzero_compositions(entries, a))
 
     data = QuadraticData(((1,),), (1,))
     per_call = [

@@ -13,6 +13,7 @@ from qchar.laurent import BiLaurent
 from qchar.qbinom import qbinomial
 from qchar.supernomial import (
     SiteVector,
+    _compositions,
     _residue_class,
     multiplicities,
     supernomial,
@@ -21,6 +22,7 @@ from qchar.supernomial import (
 )
 
 from oracles import (
+    nonzero_compositions,
     product_gf_coeff,
     second_diff_matrix,
     supernomial_brute,
@@ -129,7 +131,6 @@ def test_supernomial_rejects_negative_entry():
 def test_supernomial_rejects_inexact_entries(monkeypatch, route, warm):
     # fresh tables, so "cold" does not depend on the tests run before
     monkeypatch.setitem(route.__globals__, "_SUP", {})
-    monkeypatch.setitem(route.__globals__, "_SUP1", {})
     if warm:
         route((2, 1), 1)  # stores the key (2, 1), which (2.0, 1) equals
     for entries in ((2.0, 1), (2.9, 1), (Fraction(5, 2), 1)):
@@ -141,7 +142,6 @@ def test_supernomial_rejects_inexact_entries(monkeypatch, route, warm):
 def _fresh_tables(monkeypatch, route):
     """Empty result tables and chain cache for the supernomial module."""
     monkeypatch.setitem(route.__globals__, "_SUP", {})
-    monkeypatch.setitem(route.__globals__, "_SUP1", {})
     chain = route.__globals__["_chain"]
     monkeypatch.setitem(route.__globals__, "_chain",
                         lru_cache(maxsize=chain.cache_parameters()["maxsize"])(
@@ -180,6 +180,24 @@ def test_supernomial_matches_brute_oracle(monkeypatch):
             got = supernomial(entries, a)
             assert {q: c for q, z, c in got.terms()} == want, (entries, a)
             assert supernomial_at1(entries, a) == sum(want.values())
+
+
+def test_compositions_yield_once_per_nonzero_composition():
+    # the tree of supernomial_at1 yields one product of binomials at q = 1
+    # for each composition whose binomials are all nonzero, and no other
+    rng = random.Random(19)
+    vectors = [(3, 3, 3, 3), (0, 0, 0), (0, 2), (3,)] + [
+        tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        for _ in range(16)
+    ]
+    for entries in vectors:
+        top = sum((i + 1) * v for i, v in enumerate(entries))
+        for a in range(-1, top + 2):
+            got = list(_compositions(entries, a))
+            want = [math.prod(math.comb(t, b) for t, b in pairs)
+                    for pairs in nonzero_compositions(entries, a)]
+            assert sorted(got) == sorted(want), (entries, a)
+            assert supernomial_at1(entries, a) == sum(got)
 
 
 def test_supernomial_at1_examples():
