@@ -175,6 +175,11 @@ def support_box(site: SiteVector) -> list[tuple[int, int]]:
     come from the sum of the two sign rows of the support rule,
     (d+1)(n_+ + n_-) + sum_i 2(i+1) n_i <= N_+ + N_-, with the opposite sign
     coordinate at its worst-case lower bound.
+
+    Since d <= 2p - 3, 2p - d - 2 >= 1, so a sign lower bound is 0 exactly
+    when C >= -1, i.e. 2*N - N[d-1] >= -(2p - d - 2): the balance condition.
+    The box has no negative coordinate exactly at the balanced sites, where
+    the lattice sum needs only standard binomials.
     """
     p, d = site.p, site.d
     mult = multiplicities(site)

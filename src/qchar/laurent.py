@@ -385,13 +385,15 @@ class BiLaurent:
 _PARTITION_COUNTS = 512  # gordon_series(4, 3, 1, 80, 6) asks for 409
 
 
-@lru_cache(maxsize=_PARTITION_COUNTS)
+@lru_cache(maxsize=_PARTITION_COUNTS, typed=True)
 def bounded_partition_counts(parts: int, max_deg: int) -> tuple[int, ...]:
     """Numbers of partitions of 0..max_deg into parts of size at most `parts`.
 
     These are the series coefficients of 1/((1-q)(1-q^2)...(1-q^parts)).
-    The last _PARTITION_COUNTS results are kept.
+    The last _PARTITION_COUNTS results are kept, keyed by type, so a float
+    misses the cache; both must be exact integers (ValueError otherwise).
     """
+    parts, max_deg = _exact_int(parts), _exact_int(max_deg)
     if parts < 0 or max_deg < 0:
         raise ValueError("parts and max_deg must be nonnegative")
     dp = [0] * (max_deg + 1)

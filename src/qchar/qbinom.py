@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import sub
 
-from .laurent import BiLaurent, _pack
+from .laurent import BiLaurent, _exact_int, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
 
@@ -37,7 +37,9 @@ _PACKED: dict[int, "_PackedBinomials"] = {}
 
 def qpochhammer(n: int) -> BiLaurent:
     """(q)_n = (1-q)(1-q^2)...(1-q^n); (q)_0 = 1.  The factors are multiplied
-    into a dense coefficient list on each call, and nothing is kept."""
+    into a dense coefficient list on each call, and nothing is kept.  n must
+    be an exact integer (ValueError otherwise)."""
+    n = _exact_int(n)
     if n < 0:
         raise ValueError("qpochhammer needs n >= 0")
     coeffs = [1]
@@ -47,7 +49,9 @@ def qpochhammer(n: int) -> BiLaurent:
 
 
 def qbinomial(n: int, m: int) -> BiLaurent:
-    """Gaussian binomial coefficient; zero unless n >= m >= 0."""
+    """Gaussian binomial coefficient; zero unless n >= m >= 0.  n and m must
+    be exact integers (ValueError otherwise)."""
+    n, m = _exact_int(n), _exact_int(m)
     if not (n >= m >= 0):
         return BiLaurent.zero()
     return BiLaurent.from_qdict(_ext_qdict(n, m))
@@ -78,9 +82,10 @@ def qbinomial_ext(n: int, m: int) -> BiLaurent:
         (-1)^(n-m) q^(-((n-m)^2 + (n-m))/2) * qbinomial(-m-1, -n-1)
 
     with q replaced by 1/q.  At q = 1 it specializes to the coefficient
-    of z^(-m) in the expansion of (1 + 1/z)^n around z = 0.
+    of z^(-m) in the expansion of (1 + 1/z)^n around z = 0.  n and m must be
+    exact integers (ValueError otherwise).
     """
-    return BiLaurent.from_qdict(_ext_qdict(n, m))
+    return BiLaurent.from_qdict(_ext_qdict(_exact_int(n), _exact_int(m)))
 
 
 def ext_min_qexp(n: int, m: int):

@@ -290,6 +290,22 @@ def test_corrupted_engine_is_caught(capsys, monkeypatch):
     assert "counterexample" in out
 
 
+def test_wrong_balanced_sum_is_caught(capsys, monkeypatch):
+    # ta must report a counterexample at a balanced site when the two sides
+    # of the identity differ
+    real = verify.supernomial_lattice_side
+    monkeypatch.setattr(verify, "supernomial_lattice_side",
+                        lambda site: real(site) + BiLaurent.one())
+    code, out, _ = run_cli(capsys, "verify", "ta", "--p", "2..2", "--nmax", "1",
+                           "--margin", "0")
+    assert code == 1
+    first = next(text for text in out.splitlines()
+                 if text.startswith("counterexample "))
+    params = json.loads(first.removeprefix("counterexample "))
+    assert verify._is_balanced(params["p"], params["d"], params["plus"],
+                               params["minus"], tuple(params["levels"]))
+
+
 def test_internal_error_in_compute_exits_3(capsys, monkeypatch):
     def broken(n, m):
         raise ArithmeticError("not divisible by 1 - q^2")
@@ -476,10 +492,12 @@ def test_full_site_cases_match_a_check_of_every_candidate(args):
     assert len(got) > 100
 
 
-def test_verify_all_stdout_matches_recorded_digest(capsys):
-    # the determinism contract: default sweeps print the recorded bytes
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_stdout_matches_recorded_digest(capsys, jobs):
+    # the determinism contract: default sweeps print the recorded bytes,
+    # serially and through the worker pool
     expected = json.loads(EXPECTED.read_text())["verify-all"]["stdout_sha256"]
-    code, out, _ = run_cli(capsys, "verify", "all")
+    code, out, _ = run_cli(capsys, "verify", "all", "--jobs", jobs)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 

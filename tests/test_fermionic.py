@@ -24,7 +24,7 @@ from qchar.fermionic import (
 )
 from qchar.qbinom import qbinomial_ext
 from qchar.supernomial import SiteVector
-from qchar.verify import _cases_rec_diag, _site_cases
+from qchar.verify import _cases_rec_diag, _is_balanced, _site_cases
 
 from oracles import (
     gordon_series_brute,
@@ -156,6 +156,25 @@ def test_support_box_is_complete():
         inside = set(lattice_support(data, comps, box))
         outside = set(lattice_support(data, comps, bigger))
         assert outside == inside
+    # every site of the default ta/tb sweep, balanced or not: the box is
+    # complete, and it has no negative coordinate exactly at the balanced
+    # sites, so there every summand is a vector >= 0 (ta's standard sum)
+    cases = list(_site_cases(2, 4, 4, 2))
+    balanced = 0
+    for case in cases:
+        p, d, plus, minus, levels = case
+        site = SiteVector(p, plus, minus, levels)
+        data = QuadraticData.for_site(p, d)
+        box = support_box(site)
+        bigger = [(lo - 1, hi + 1) for lo, hi in box]
+        inside = lattice_support(data, site.components(), box)
+        assert set(lattice_support(data, site.components(), bigger)) == set(inside)
+        nonnegative_box = min(lo for lo, _ in box) >= 0
+        assert _is_balanced(*case) == nonnegative_box
+        if nonnegative_box:
+            balanced += 1
+            assert all(min(n) >= 0 for n in inside)
+    assert 0 < balanced < len(cases)
 
 
 def test_lattice_support_matches_brute_oracle():

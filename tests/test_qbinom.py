@@ -4,12 +4,13 @@ import functools
 import importlib
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qchar import qbinom
 from qchar.fermionic import QuadraticData, _summands, fermionic_sum, lattice_sum
-from qchar.laurent import BiLaurent, _unpack_qdict
+from qchar.laurent import BiLaurent, _unpack_qdict, bounded_partition_counts
 from qchar.qbinom import ext_min_qexp, qbinomial, qbinomial_ext, qpochhammer
 from qchar.supernomial import SiteVector, supernomial
 
@@ -56,6 +57,27 @@ def test_qpochhammer_uses_constant_stack():
     assert [poly.coefficient(j) for j in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
     assert poly.q_max() == n * (n + 1) // 2
     assert poly.coefficient(n * (n + 1) // 2) == (-1) ** n
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("fn, exact, inexact", [
+    (qbinomial, (4, 2), (4.0, 2)),
+    (qbinomial, (4, 2), (4, 2.0)),
+    (qbinomial_ext, (-2, -3), (-2.0, -3)),
+    (qpochhammer, (2,), (2.0,)),
+    (bounded_partition_counts, (2, 3), (2.0, 3)),
+])
+def test_integer_arguments_must_be_exact(monkeypatch, warm, fn, exact, inexact):
+    # a float is refused whether or not the exact value is memoised, and
+    # never read from a table keyed by the equal int; an integral Fraction
+    # is an exact integer
+    monkeypatch.setattr(qbinom, "_EXT_QDICT", {})
+    bounded_partition_counts.cache_clear()
+    if warm:
+        fn(*exact)
+    with pytest.raises(ValueError):
+        fn(*inexact)
+    assert fn(*map(Fraction, exact)) == fn(*exact)
 
 
 def test_qbinomial_4_2():
