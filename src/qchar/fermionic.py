@@ -38,8 +38,8 @@ factors once per summand.  In coupling_matrix the sign/level block has
 rank one: y is a multiple of sum_i (i+1) n_i and x of n_+ + n_-, the
 chain structure of Andrews' multiple-sum Gordon identities.  The level
 sums read neither the sign cutoffs nor v on the signs, so lattice_sum
-keeps them once it sees a level block a second time (see _groups): the
-weights r of one coinvariant character share them.
+keeps those of the last level block it grouped (see _groups), and the
+weights r of one coinvariant character build each of them once.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .laurent import (
     _unpack_qdict,
     _width,
 )
-from .qbinom import _packed_binomials, ext_min_qexp
+from .qbinom import _ext_min_qexp, _packed_binomials
 from .supernomial import SiteVector, multiplicities
 
 __all__ = [
@@ -384,7 +384,7 @@ def _eff(data: QuadraticData, nvec) -> list:
 def _factor_data(tops, bottoms, e2):
     """(e2 & 1, least integer exponent, |value at q = 1|) of q^(e2/2) times
     the product of the nonzero binomials [t choose b].  The least exponent
-    adds ext_min_qexp's, which is 0 for every standard binomial; the value
+    adds _ext_min_qexp's, which is 0 for every standard binomial; the value
     at q = 1 of a factor is the sum of its absolute coefficients, comb(t, b),
     or comb(-b-1, t-b) when it is reflected."""
     if min(bottoms, default=0) >= 0:
@@ -393,7 +393,7 @@ def _factor_data(tops, bottoms, e2):
     bound = 1
     for t, b in zip(tops, bottoms):
         if b < 0:
-            lo += ext_min_qexp(t, b)
+            lo += _ext_min_qexp(t, b)
             bound *= math.comb(-b - 1, t - b)
         else:
             bound *= math.comb(t, b)
@@ -406,17 +406,17 @@ def _factor_data(tops, bottoms, e2):
 # lattice sums of `qchar verify all`, `verify char-eq --entry-max 6` and
 # `verify tb --nmax 7` (2 vCPUs, Python 3.11.7), grouping from the first
 # summand took 1.2-1.4x the time of no grouping below 12 summands,
-# 0.95-1.05x at 16-31 and 0.8-0.95x at 32-127.  Replayed against the
-# parent commit in one process, with the level table kept from a block's
-# second sighting (see _groups), thresholds of 16, 32 and 64 gave
-# 0.96-1.04x of the parent's time on the sums of `verify all` and of
-# `verify tb --nmax 7`, within the spread of the runs, so 16 stays.
+# 0.95-1.05x at 16-31 and 0.8-0.95x at 32-127.  Replayed in one process
+# on an earlier design, which kept a block's level table only from its
+# second sighting (level sums are now shared by the level key instead),
+# thresholds of 16, 32 and 64 gave 0.96-1.04x of the time of the design
+# before it on the sums of `verify all` and of `verify tb --nmax 7`, within
+# the spread of the runs, so 16 stays.
 _FACTOR_MIN = 16
 
 
-# the last level block seen, {key: its level table, or None while it has
-# been seen once}; see _groups.  One entry is enough for a loop over the
-# weights r of a site.
+# the level sums of the last level key, {key: {(y, x): level sums}}; see
+# _groups.  One entry is enough for a loop over the weights r of a site.
 _LEVELS: dict = {}
 
 
@@ -428,30 +428,26 @@ def _groups(data, eff, v2, box, steps):
     The level block (all but the first two coordinates) is walked with
     every row.  Until the sum has more than _FACTOR_MIN summands, each leaf
     of that walk walks its own sign vectors, and each summand is a group of
-    its own, n paired with an empty level part.  Past that, the summands
-    are grouped by the cross contributions (x, y) of the sign and the
-    level block, through a level table (see _level_table): the sign
-    vectors at each y of the table are walked once per call, with the sign
-    rows alone, and grouped by x, and the level sums of (y, x) are summed
-    from the table's leaves at y once per table.
+    its own, n paired with an empty level part.  Past that, every summand
+    is grouped by the cross contributions (x, y) of the sign and the level
+    block: the level leaves of the walk, those of the prefix that yielded a
+    summand and the rest, form a level table (see _level_table); the sign
+    vectors at each y of the table are walked with the sign rows alone and
+    grouped by x; and the level sums of (y, x) are read from _LEVELS, or
+    summed from the table's leaves at y and added to it.
 
-    A block seen for the first time gets a table of the rest of the walk,
-    used once; the prefix summands stay groups of one.  A block seen again
-    gets a table kept in _LEVELS: the block is walked again with the level
-    rows only (the sign rows get a room no sum of the walk reaches), and
-    the prefix summands are dropped.  So a sum that nothing repeats pays
-    for no table it does not use, and a loop over the weights r of a
-    coinvariant character builds the level sums of its site twice and
-    reads them for every later r.
-
-    The table is keyed by everything the level walk and the level parts
-    read: the matrix, u and v2 on the levels, the level cutoffs and the
-    box.  The weight r of a coinvariant character moves only the sign
-    cutoffs and v on the signs (v2 is 0 on the levels), and
-    coinv_char_fermionic passes one box for every r, so the calls of a
-    loop over r share one key.  Sharing is exact: a kept level sum is the
-    sum over every level leaf at y whose binomials are nonzero at x, and
-    neither the leaves nor those binomials read the sign rows.
+    _LEVELS is keyed by the level data: the matrix, u, v2, the cutoffs and
+    the box on the levels.  The weight r of a coinvariant character moves
+    only the sign cutoffs and v on the signs (v2 is 0 on the levels), and
+    coinv_char_fermionic passes one box for every r, so the calls of a loop
+    over r share one key.  The sharing is exact.  The level sum at (y, x)
+    runs over every level leaf in the level box at y whose binomials are
+    nonzero at x.  Each such leaf forms a nonzero summand with the sign
+    vector that made this call read (y, x).  The walk never prunes a vector
+    that extends to a summand, and the prefix leaves that yield one are
+    recorded, so this call's own table holds every such leaf.  So the sum
+    reads neither the sign cutoffs, the sign box, v on the signs, qmax nor
+    zwin.
     """
     m = len(steps)
     ns = 2
@@ -465,37 +461,30 @@ def _groups(data, eff, v2, box, steps):
         return groups
     block, sign_steps = steps[: m - ns], steps[m - ns:]
     walk = _walk(block, n, [0] * m)
+    walked = []  # the level leaves that yielded a summand
     for s, negs in walk:
+        count = len(leaves)
         _sign_leaves(sign_steps, n, s, negs, leaves)
-        if len(leaves) > _FACTOR_MIN:
-            break
+        if len(leaves) > count:
+            walked.append((n[ns:], s, negs))
+            if len(leaves) > _FACTOR_MIN:
+                break
     else:
         return groups
     key = (data.matrix, data.u[ns:], tuple(v2[ns:]), tuple(eff[ns:]),
-           tuple(box))
-    table = _LEVELS.get(key, ())
-    if table == ():  # first seen: the rest of this walk, used once
-        table = _level_table(data, eff, v2, [(n[ns:], s, g) for s, g in walk])
+           tuple(box[ns:]))
+    sums = _LEVELS.get(key)
+    if sums is None:
         _LEVELS.clear()
-        _LEVELS[key] = None
-    else:
-        if table is None:  # seen again: the whole block, kept
-            # the sign rows get a room above every sum they reach
-            free = [1 + sum(abs(row[a]) * max(-lo, hi)
-                            for lo, hi, row, *_ in block) for a in range(ns)]
-            n = [0] * m
-            walk = _walk([(lo, hi, row, own, free + room[ns:], need)
-                          for lo, hi, row, own, room, need in block],
-                         n, [0] * m)
-            table = _LEVELS[key] = _level_table(
-                data, eff, v2, [(n[ns:], s, g) for s, g in walk])
-        groups = []
-    table_leaves, sums = table
+        sums = _LEVELS[key] = {}
+    walked += [(n[ns:], s, g) for s, g in walk]  # and the rest of the walk
+    table = _level_table(data, eff, v2, walked)
     cross = list(zip(*[row[ns:] for row in data.matrix[:ns]]))  # A_LS by rows
     cut = [(lo, hi, row[:ns], own, room[:ns], need and need[:ns])
            for lo, hi, row, own, room, need in sign_steps]  # sign rows only
     n = [0] * ns
-    for y, at_y in table_leaves.items():
+    groups = []
+    for y, at_y in table.items():
         signs = []
         _sign_leaves(cut, n, list(y), (), signs)
         tail: dict = {}  # x -> sign vectors
@@ -512,11 +501,10 @@ def _groups(data, eff, v2, box, steps):
 
 
 def _level_table(data, eff, v2, walked):
-    """(leaves, sums) of a level block from the leaves (n_L, nA, negative
-    coordinates) of its walk: leaves maps y = n_L A_LS to the leaves at y,
+    """The leaves of a level block, from the leaves (n_L, nA, negative
+    coordinates) of its walk: a dict from y = n_L A_LS to the leaves at y,
     each as (n_L, its binomials' tops before x is taken off, whether some
-    n_a < 0, z-degree, e2 before the cross term); sums, filled by _groups,
-    maps (y, x) to the level sums of _level_sums."""
+    n_a < 0, z-degree, e2 before the cross term)."""
     ns = 2
     eff_l, u_l, v2_l = eff[ns:], data.u[ns:], v2[ns:]
     leaves: dict = {}
@@ -530,7 +518,7 @@ def _level_table(data, eff, v2, walked):
             leaves[y] = [leaf]
         else:
             at_y.append(leaf)
-    return leaves, {}
+    return leaves
 
 
 def _level_sums(leaves, x):
@@ -616,10 +604,10 @@ def lattice_sum(
     each group holds one summand.  _groups forms the groups from one walk
     of the level block; until a sum has more than _FACTOR_MIN summands it
     keeps them in groups of one, since grouping costs more than it saves
-    on a small sum.  A level block seen again keeps its level sums for the
-    calls after it (see _groups).  Within a group the
-    level parts are summed per (z-degree, e2 & 1), and each sign part is
-    multiplied by each of those sums once.
+    on a small sum.  The level sums of the last level block are kept for
+    the calls after it (see _groups).  Within a group the level parts are
+    summed per (z-degree, e2 & 1), and each sign part is multiplied by each
+    of those sums once.
 
     The sum is accumulated in packed ints (see laurent), one per part
     (z-degree, e2 & 1), at one byte width.  Every coefficient is at most
@@ -627,14 +615,14 @@ def lattice_sum(
     coefficient sums, which fixes the width; a group adds (sign total)
     times (level total), so the bound is the one a summand-by-summand sum
     gives.  Each binomial is packed once per process and width, each sign
-    part once per call, and each level sum once per level table and width,
-    so a loop over the weights r of a coinvariant character packs the level
-    sums of its site twice, not once per r.
+    part once per call, and each level sum once per width, so a loop over
+    the weights r of a coinvariant character packs each level sum of its
+    site once, not once per r.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
     zwin, exactly.  A product of a sign part and a level sum is skipped
     only when its z-degree lies outside zwin or the closed-form lowest
-    exponents of its factors (ext_min_qexp) already put it above qmax.
+    exponents of its factors (_ext_min_qexp) already put it above qmax.
     Other products are added whole, and each part is cut at qmax once,
     when it is unpacked.
     """

@@ -29,7 +29,7 @@ from operator import sub
 
 from .laurent import BiLaurent, _exact_int, _pack
 
-__all__ = ["qpochhammer", "qbinomial", "qbinomial_ext", "ext_min_qexp"]
+__all__ = ["qpochhammer", "qbinomial", "qbinomial_ext"]
 
 _EXT_QDICT: dict[tuple[int, int], dict] = {}
 _PACKED: dict[int, "_PackedBinomials"] = {}
@@ -88,11 +88,13 @@ def qbinomial_ext(n: int, m: int) -> BiLaurent:
     return BiLaurent.from_qdict(_ext_qdict(_exact_int(n), _exact_int(m)))
 
 
-def ext_min_qexp(n: int, m: int):
+def _ext_min_qexp(n: int, m: int):
     """Lowest q-exponent of qbinomial_ext(n, m), or None if it is zero.
 
     Closed form, cheap enough to use as a pruning bound before the
-    polynomial itself is ever materialized.
+    polynomial itself is ever materialized.  n and m must be exact
+    integers; the lattice engine's inner loop calls it, so nothing checks
+    them.
     """
     if n >= 0:
         return 0 if 0 <= m <= n else None

@@ -187,10 +187,13 @@ def test_public_routes_reject_inexact_numbers(route, args):
         getattr(qchar, route)(*args)
 
 
-@pytest.mark.parametrize("site", [
+SHARED_SITES = pytest.mark.parametrize("site", [
     SiteVector(4, 25, 25, (20, 35, 45)),
     SiteVector(4, 21, 29, (20, 35, 45)),  # the sign box moves with r
 ], ids=["coinv-p4", "moving-sign-box"])
+
+
+@SHARED_SITES
 def test_level_sums_are_shared_across_weights(monkeypatch, site):
     # r = p-1 alone in a fresh table, and after r = 0..p-2 filled it
     last = site.p - 1
@@ -205,6 +208,25 @@ def test_level_sums_are_shared_across_weights(monkeypatch, site):
     after = coinv_char_fermionic(last, site)
     assert fermionic._LEVELS == {key: table}
     assert after == alone == coinv_char_supernomial(last, site)
+
+
+@SHARED_SITES
+def test_no_level_sum_is_built_twice(monkeypatch, site):
+    # a loop over r builds each level sum of the site once: a later weight
+    # reads what an earlier one built, whatever its sign cutoffs
+    built = []
+    level_sums = fermionic._level_sums
+
+    def record(leaves, x):
+        built.append((tuple(tuple(leaf[0]) for leaf in leaves), x))
+        return level_sums(leaves, x)
+
+    monkeypatch.setattr(fermionic, "_LEVELS", {})
+    monkeypatch.setattr(fermionic, "_level_sums", record)
+    for r in range(site.p):
+        assert coinv_char_fermionic(r, site) == coinv_char_supernomial(r, site)
+    assert built
+    assert len(set(built)) == len(built)
 
 
 def test_level_sums_repack_at_another_width(monkeypatch):

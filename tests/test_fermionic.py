@@ -295,7 +295,7 @@ def test_lattice_sum_matches_brute_oracle(inputs, extended):
     got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)
     assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
     # grouped from the first summand on, which these small sums do not reach
-    with mock.patch.object(fermionic, "_FACTOR_MIN", 0, create=True):
+    with mock.patch.object(fermionic, "_FACTOR_MIN", 0):
         got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)
     assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
 
@@ -303,24 +303,32 @@ def test_lattice_sum_matches_brute_oracle(inputs, extended):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_lattice_inputs(), st.booleans())
 def test_kept_level_table_matches_brute_oracle(inputs, extended):
-    # grouped from the first summand: a block seen once, a block seen again
-    # (its kept table walked with the level rows only) and a table hit all
-    # give the plain sum of the summands, truncations included
+    # grouped from the first summand: a call that builds its level sums,
+    # calls that read them back, and a call over a wider sign box that reads
+    # them under other sign ranges all give the plain sum of the summands,
+    # truncations included
     data, nvec, box, qmax, zwin = inputs
-    want = {
-        (q, z): c
-        for (q, z), c in lattice_sum_brute(
-            data.matrix, data.u, data.v, nvec, box, extended
-        ).items()
-        if (qmax is None or q <= qmax) and (zwin is None or abs(z) <= zwin)
-    }
+
+    def brute(box):
+        return {
+            (q, z): c
+            for (q, z), c in lattice_sum_brute(
+                data.matrix, data.u, data.v, nvec, box, extended
+            ).items()
+            if (qmax is None or q <= qmax) and (zwin is None or abs(z) <= zwin)
+        }
+
+    wide = [(lo - 1, hi + 1) for lo, hi in box[:2]] + box[2:]
+    want, want_wide = brute(box), brute(wide)
     if not extended:
-        box = _clamped(box)
+        box, wide = _clamped(box), _clamped(wide)
     with mock.patch.object(fermionic, "_FACTOR_MIN", 0), \
             mock.patch.object(fermionic, "_LEVELS", {}):
         for _ in range(3):
             got = lattice_sum(data, nvec, box, qmax=qmax, zwin=zwin)
             assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
+        got = lattice_sum(data, nvec, wide, qmax=qmax, zwin=zwin)
+        assert {(Fraction(q), z): c for q, z, c in got.terms()} == want_wide
 
 
 def test_every_leaf_is_a_summand_on_the_tb_sweep():

@@ -11,7 +11,7 @@ import pytest
 from qchar import qbinom
 from qchar.fermionic import QuadraticData, _summands, fermionic_sum, lattice_sum
 from qchar.laurent import BiLaurent, _unpack_qdict, bounded_partition_counts
-from qchar.qbinom import ext_min_qexp, qbinomial, qbinomial_ext, qpochhammer
+from qchar.qbinom import _ext_min_qexp, qbinomial, qbinomial_ext, qpochhammer
 from qchar.supernomial import SiteVector, supernomial
 
 from oracles import (
@@ -179,7 +179,7 @@ def test_ext_min_qexp_matches_polynomials():
     for n in range(-7, 8):
         for m in range(-7, 8):
             poly = qbinomial_ext(n, m)
-            bound = ext_min_qexp(n, m)
+            bound = _ext_min_qexp(n, m)
             if not poly:
                 assert bound is None
             else:
