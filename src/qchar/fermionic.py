@@ -38,8 +38,8 @@ factors once per summand.  In coupling_matrix the sign/level block has
 rank one: y is a multiple of sum_i (i+1) n_i and x of n_+ + n_-, the
 chain structure of Andrews' multiple-sum Gordon identities.  The level
 sums read neither the sign cutoffs nor v on the signs, so lattice_sum
-keeps those of the last level block it grouped (see _groups), and the
-weights r of one coinvariant character build each of them once.
+keeps them by their level key (see _groups), and the weights r of one
+coinvariant character build each of them once.
 """
 
 from __future__ import annotations
@@ -281,57 +281,32 @@ def _steps(box, rows, eff):
     return steps
 
 
-def _walk(steps, n, s):
+def _walk(steps, n, s, negs, out):
     """Walk the coordinates of the steps in order, writing each value into
-    n, and yield (s, negs) at every leaf: s is the start sums plus the
-    walked coordinates' contribution to the rows, negs the walked
-    coordinates that are negative.  With no steps, yield (s, ()) once.
+    n, and append (copy of n, s, negs) to out at every leaf: s is the start
+    sums plus the walked coordinates' contribution to the rows, negs the
+    start negative coordinates plus the walked negative ones.  With no
+    steps, append once.
+
+    One call per step, and the last step appends inline, so the recursion
+    is as deep as the steps are many (d for a level block), as in
+    _Chain.total and _ellipsoid.  n is not reset on the way back: _range
+    reads n only at the coordinates in negs, fixed before the walk or on
+    the current path, and each leaf copies n after its path is written.
     """
-    m = len(steps)
-    if m == 0:
-        yield s, ()
+    if not steps:
+        out.append((n[:], s, negs))
         return
-    sums = [s] + [None] * (m - 1)  # partial sums of the rows per position
-    negs = [()] * m  # the walked negative coordinates per position
-    values = [iter(_range(steps[0], s, (), n))] + [None] * (m - 1)
-    last = m - 1
-    k = 0
-    while k >= 0:
-        _, _, row, (_, i), _, _ = steps[k]
-        for v in values[k]:
-            n[i] = v
-            s = [x + v * c for x, c in zip(sums[k], row)] if v else sums[k]
-            neg = negs[k] + (i,) if v < 0 else negs[k]
-            if k == last:
-                yield s, neg
-                continue
-            k += 1
-            sums[k] = s
-            negs[k] = neg
-            values[k] = iter(_range(steps[k], s, neg, n))
-            break
-        else:
-            n[i] = 0
-            k -= 1
-
-
-def _sign_leaves(steps, n, s, negs, out):
-    """Append (copy of n, s) to out at every leaf of the walk of two steps
-    that starts from the sums s and the negative coordinates negs: _walk
-    for the two sign coordinates below a leaf of the level block, without
-    the set-up of a generator."""
-    first, last = steps
-    i, j = first[3][1], last[3][1]
-    for v in _range(first, s, negs, n):
+    step, rest = steps[0], steps[1:]
+    row, i = step[2], step[3][1]
+    for v in _range(step, s, negs, n):
         n[i] = v
-        s1 = [x + v * c for x, c in zip(s, first[2])] if v else s
+        t = [x + v * c for x, c in zip(s, row)] if v else s
         neg = negs + (i,) if v < 0 else negs
-        for w in _range(last, s1, neg, n):
-            n[j] = w
-            s0 = [x + w * c for x, c in zip(s1, last[2])] if w else s1
-            out.append((n[:], s0))
-        n[j] = 0
-    n[i] = 0
+        if rest:
+            _walk(rest, n, t, neg, out)
+        else:
+            out.append((n[:], t, neg))
 
 
 def _leaves(box, rows, eff):
@@ -344,14 +319,15 @@ def _leaves(box, rows, eff):
     coordinate's own sign row.  The later coordinates enter each row at
     their least (upper rows) or greatest (sign rows) contribution over the
     box, so at the last coordinate every row is exact and every leaf is a
-    summand.  The walk is iterative and takes the coordinates last to
-    first, which puts the levels of a coupling matrix before the signs.
+    summand.  _walk takes the coordinates last to first, which puts the
+    levels of a coupling matrix before the signs.
     """
     steps = _steps(box, rows, eff)
     if steps is None:
         return
-    n = [0] * len(box)
-    for s, _ in _walk(steps, n, [0] * len(box)):
+    leaves = []
+    _walk(steps, [0] * len(box), [0] * len(box), (), leaves)
+    for n, s, _ in leaves:
         yield tuple(n), tuple(s)
 
 
@@ -406,12 +382,11 @@ def _factor_data(tops, bottoms, e2):
 # lattice sums of `qchar verify all`, `verify char-eq --entry-max 6` and
 # `verify tb --nmax 7` (2 vCPUs, Python 3.11.7), grouping from the first
 # summand took 1.2-1.4x the time of no grouping below 12 summands,
-# 0.95-1.05x at 16-31 and 0.8-0.95x at 32-127.  Replayed in one process
-# on an earlier design, which kept a block's level table only from its
-# second sighting (level sums are now shared by the level key instead),
-# thresholds of 16, 32 and 64 gave 0.96-1.04x of the time of the design
-# before it on the sums of `verify all` and of `verify tb --nmax 7`, within
-# the spread of the runs, so 16 stays.
+# 0.95-1.05x at 16-31 and 0.8-0.95x at 32-127.  Timed in one process on
+# the sums of the default tb and char-eq sweeps (two runs of 15 alternating
+# reps in opposite orders, min and median against 16): threshold 0 took
+# 1.03-1.18x on tb and 1.30-1.37x on char-eq; 8 and 32 took 0.93-1.05x,
+# within the spread of the runs, so 16 stays.
 _FACTOR_MIN = 16
 
 
@@ -425,16 +400,16 @@ def _groups(data, eff, v2, box, steps):
     level sums): every sign vector of a group pairs with every level part
     of its level sums.
 
-    The level block (all but the first two coordinates) is walked with
-    every row.  Until the sum has more than _FACTOR_MIN summands, each leaf
-    of that walk walks its own sign vectors, and each summand is a group of
-    its own, n paired with an empty level part.  Past that, every summand
-    is grouped by the cross contributions (x, y) of the sign and the level
-    block: the level leaves of the walk, those of the prefix that yielded a
-    summand and the rest, form a level table (see _level_table); the sign
-    vectors at each y of the table are walked with the sign rows alone and
-    grouped by x; and the level sums of (y, x) are read from _LEVELS, or
-    summed from the table's leaves at y and added to it.
+    The level block (all but the first two coordinates) is walked once,
+    with every row, into a list.  Each of its leaves in turn walks its sign
+    vectors, and each summand is a group of its own, n paired with an empty
+    level part, until the sum has more than _FACTOR_MIN summands.  Past
+    that, every summand is grouped by the cross contributions (x, y) of the
+    sign and the level block: the level leaves of the prefix that yielded a
+    summand and all leaves after it form a level table (see _level_table);
+    the sign vectors at each y of the table are walked with the sign rows
+    alone and grouped by x; and the level sums of (y, x) are read from
+    _LEVELS, or summed from the table's leaves at y and added to it.
 
     _LEVELS is keyed by the level data: the matrix, u, v2, the cutoffs and
     the box on the levels.  The weight r of a coinvariant character moves
@@ -451,22 +426,22 @@ def _groups(data, eff, v2, box, steps):
     """
     m = len(steps)
     ns = 2
-    n = [0] * m
     leaves = []
     # the summands one by one, each paired with the empty level part:
     # exponent 0, value 1 at q = 1, no binomials
     groups = [(leaves, {(0, 0): [0, 1, [(0, ())], None]})]
     if m <= ns:  # no level block
-        leaves += [(n[:], s) for s, _ in _walk(steps, n, [0] * m)]
+        _walk(steps, [0] * m, [0] * m, (), leaves)
         return groups
-    block, sign_steps = steps[: m - ns], steps[m - ns:]
-    walk = _walk(block, n, [0] * m)
+    block_leaves = []
+    _walk(steps[: m - ns], [0] * m, [0] * m, (), block_leaves)
+    sign_steps = steps[m - ns:]
     walked = []  # the level leaves that yielded a summand
-    for s, negs in walk:
+    for j, leaf in enumerate(block_leaves):
         count = len(leaves)
-        _sign_leaves(sign_steps, n, s, negs, leaves)
+        _walk(sign_steps, *leaf, leaves)
         if len(leaves) > count:
-            walked.append((n[ns:], s, negs))
+            walked.append(leaf)
             if len(leaves) > _FACTOR_MIN:
                 break
     else:
@@ -477,20 +452,19 @@ def _groups(data, eff, v2, box, steps):
     if sums is None:
         _LEVELS.clear()
         sums = _LEVELS[key] = {}
-    walked += [(n[ns:], s, g) for s, g in walk]  # and the rest of the walk
-    table = _level_table(data, eff, v2, walked)
+    block_leaves[: j + 1] = walked  # of the prefix, those with a summand
+    table = _level_table(data, eff, v2, block_leaves)
     cross = list(zip(*[row[ns:] for row in data.matrix[:ns]]))  # A_LS by rows
     cut = [(lo, hi, row[:ns], own, room[:ns], need and need[:ns])
            for lo, hi, row, own, room, need in sign_steps]  # sign rows only
-    n = [0] * ns
     groups = []
     for y, at_y in table.items():
         signs = []
-        _sign_leaves(cut, n, list(y), (), signs)
-        tail: dict = {}  # x -> sign vectors
-        for n_s, s_s in signs:
-            x = tuple([sum(map(mul, row, n_s)) for row in cross])
-            tail.setdefault(x, []).append((n_s, s_s))
+        _walk(cut, [0] * ns, list(y), (), signs)
+        tail: dict = {}  # x -> sign leaves
+        for sign in signs:
+            x = tuple([sum(map(mul, row, sign[0])) for row in cross])
+            tail.setdefault(x, []).append(sign)
         for x, group in tail.items():
             level = sums.get((y, x))
             if level is None:
@@ -501,23 +475,22 @@ def _groups(data, eff, v2, box, steps):
 
 
 def _level_table(data, eff, v2, walked):
-    """The leaves of a level block, from the leaves (n_L, nA, negative
-    coordinates) of its walk: a dict from y = n_L A_LS to the leaves at y,
-    each as (n_L, its binomials' tops before x is taken off, whether some
-    n_a < 0, z-degree, e2 before the cross term)."""
+    """The leaves of a level block, popped from the list of the leaves
+    (n, nA, negative coordinates) of its walk, which ends empty: a dict
+    from y = n_L A_LS to the leaves at y, each as (n_L, its binomials' tops
+    before x is taken off, whether some n_a < 0, z-degree, e2 before the
+    cross term)."""
     ns = 2
     eff_l, u_l, v2_l = eff[ns:], data.u[ns:], v2[ns:]
     leaves: dict = {}
-    for n_l, s, negs in walked:
-        y, s_l = tuple(s[:ns]), s[ns:]
+    walked.reverse()  # pop in walk order, freeing each leaf once read
+    while walked:
+        n, s, negs = walked.pop()
+        n_l, y, s_l = n[ns:], tuple(s[:ns]), s[ns:]
         leaf = (n_l, tuple([e + b - t for e, b, t in zip(eff_l, n_l, s_l)]),
                 bool(negs), sum(map(mul, u_l, n_l)),
                 sum(map(mul, n_l, map(add, s_l, v2_l))))
-        at_y = leaves.get(y)
-        if at_y is None:
-            leaves[y] = [leaf]
-        else:
-            at_y.append(leaf)
+        leaves.setdefault(y, []).append(leaf)
     return leaves
 
 
@@ -604,10 +577,10 @@ def lattice_sum(
     each group holds one summand.  _groups forms the groups from one walk
     of the level block; until a sum has more than _FACTOR_MIN summands it
     keeps them in groups of one, since grouping costs more than it saves
-    on a small sum.  The level sums of the last level block are kept for
-    the calls after it (see _groups).  Within a group the level parts are
-    summed per (z-degree, e2 & 1), and each sign part is multiplied by each
-    of those sums once.
+    on a small sum.  The level sums of the last level key are kept for
+    the calls that share it (see _groups).  Within a group the level
+    parts are summed per (z-degree, e2 & 1), and each sign part is
+    multiplied by each of those sums once.
 
     The sum is accumulated in packed ints (see laurent), one per part
     (z-degree, e2 & 1), at one byte width.  Every coefficient is at most
@@ -638,7 +611,7 @@ def lattice_sum(
     bound = 0
     products = []
     for signs, levels in groups:
-        for n_s, s_s in signs:
+        for n_s, s_s, _ in signs:
             tops = [e + b - t for e, b, t in zip(eff, n_s, s_s)]
             e2 = sum(map(mul, n_s, map(add, s_s, v2)))
             par_s, lo_s, bound_s = _factor_data(tops, n_s, e2)

@@ -232,12 +232,22 @@ def test_no_level_sum_is_built_twice(monkeypatch, site):
 def test_level_sums_repack_at_another_width(monkeypatch):
     # a kept level sum has dropped its binomials once packed; a call at a
     # wider byte width repacks it from the kept value
+    def kept():
+        return [level for sums in fermionic._LEVELS.values()
+                for at_yx in sums.values() for level in at_yx.values()]
+
     site = SiteVector(4, 25, 25, (20, 35, 45))
     monkeypatch.setattr(fermionic, "_LEVELS", {})
     want = [coinv_char_fermionic(r, site) for r in range(2)]
+    levels = kept()
+    widths = [level[3][0] for level in levels]
+    assert levels and all(level[2] is None for level in levels)
     width = fermionic._width
     monkeypatch.setattr(fermionic, "_width", lambda bound: width(bound) + 1)
     assert [coinv_char_fermionic(r, site) for r in range(2)] == want
+    # the repack ran: every kept level sum now holds a wider width
+    assert kept() == levels
+    assert all(level[3][0] > w for level, w in zip(levels, widths))
 
 
 def test_memo_tables_stay_within_their_bounds():

@@ -1,6 +1,7 @@
 """Coupling matrices, support boxes, lattice sums, Gordon series."""
 
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -355,6 +356,27 @@ def test_lattice_sum_one_by_one():
     data = QuadraticData(((2,),), (1,))
     assert lattice_sum(data, (2,), [(-4, 4)]) == qz((0, 0, 1), (1, 1, 1))
     assert lattice_sum(data, (2,), [(1, 0)]) == 0  # an empty box
+
+
+def test_lattice_sum_walks_a_deep_box():
+    # the walk recurses once per coordinate, not per value: 300 coordinates
+    # fit under the default recursion limit.  Diagonal 2 and cutoff 2 keep
+    # n_a = 1 nonzero at the four coordinates whose range is (0, 1).
+    size, free = 300, (0, 1, 2, 299)
+    assert sys.getrecursionlimit() == 1000
+    matrix = tuple(tuple(2 * (i == j) for j in range(size)) for i in range(size))
+    u = (1, -1) + (0,) * (size - 3) + (1,)
+    v = (HALF,) + (0,) * (size - 1)
+    nvec = tuple(2 * (i in free) for i in range(size))
+    box = [(0, int(i in free)) for i in range(size)]
+    want = lattice_sum_brute(matrix, u, v, nvec, box, True)
+    assert len(lattice_support_brute(matrix, nvec, box, True)) == 16
+    data = QuadraticData(matrix, u, v)
+    with mock.patch.object(fermionic, "_LEVELS", {}):
+        for factor_min in (16, 0):  # in groups of one, then grouped
+            with mock.patch.object(fermionic, "_FACTOR_MIN", factor_min):
+                got = lattice_sum(data, nvec, box)
+            assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
 
 
 def test_lattice_sum_agrees_with_fermionic_wrapper():
