@@ -256,8 +256,8 @@ def _range(step, s, negs, n):
 def _steps(box, rows, eff):
     """The steps of the walk over a box, one per coordinate, last coordinate
     first: (lo, hi, row, own, room, need) as _range reads them.  None when
-    a coordinate's range is empty.  need is read only below 0, so it is
-    left None when no range reaches below 0.
+    a coordinate's range is empty.  _range reads need only for negative
+    coordinates, so on a box with none it is computed and never read.
     """
     m = len(box)
     steps = []
@@ -266,18 +266,15 @@ def _steps(box, rows, eff):
         if lo > hi:
             return None
         steps.append((lo, hi, rows[i], (rows[i][i] - 1, i)))
-    signed = any(step[0] < 0 for step in steps)
     tmin = tmax = (0,) * m  # least / greatest contribution of the tail
     for k in range(m - 1, -1, -1):
         lo, hi, row, _ = steps[k]
         lows = [c * lo for c in row]
         highs = [c * hi for c in row]
-        need = None
-        if signed:
-            need = [e + 1 - t for e, t in zip(eff, tmax)]
-            tmax = list(map(add, tmax, map(max, lows, highs)))
-        steps[k] += (list(map(sub, eff, tmin)), need)
+        steps[k] += (list(map(sub, eff, tmin)),
+                     [e + 1 - t for e, t in zip(eff, tmax)])
         tmin = list(map(add, tmin, map(min, lows, highs)))
+        tmax = list(map(add, tmax, map(max, lows, highs)))
     return steps
 
 
@@ -339,7 +336,7 @@ def _summands(data: QuadraticData, nvec, box):
     support and the sign rule, so every vector it yields is a summand.
     """
     m = data.size
-    eff = _eff(data, nvec)
+    eff, box = _eff(data, nvec, box)
     u = data.u
     v2 = tuple(int(2 * x) for x in data.v)
     for n, s in _leaves(box, data.matrix, eff):
@@ -349,12 +346,27 @@ def _summands(data: QuadraticData, nvec, box):
         yield n, zdeg, e2, tops
 
 
-def _eff(data: QuadraticData, nvec) -> list:
-    """N as a list: the cutoffs the rows of the support rule compare with."""
-    eff = list(nvec)
+def _eff(data: QuadraticData, nvec, box, qmax=None, zwin=None):
+    """(N, box) as lists, N the cutoffs the rows of the support rule compare
+    with: the one check of a lattice sum's inputs.  ValueError unless N has
+    one exact integer per coordinate, the box one (lo, hi) pair of exact
+    integers per coordinate, and qmax and zwin are each None or an exact
+    number in (1/2)Z (an int or a Fraction)."""
+    eff = list(map(_exact_int, nvec))
     if len(eff) != data.size:
         raise ValueError("site vector length must match the matrix size")
-    return eff
+    try:
+        box = [(_exact_int(lo), _exact_int(hi)) for lo, hi in box]
+    except (TypeError, ValueError):  # not pairs, or not exact integers
+        box = None
+    if box is None or len(box) != len(eff):
+        raise ValueError("the box needs one (lo, hi) pair of exact integers "
+                         "per coordinate")
+    for cut in (qmax, zwin):
+        if cut is not None and not (isinstance(cut, (int, Fraction))
+                                    and (2 * cut).denominator == 1):
+            raise ValueError(f"cutoff {cut!r} is not an exact number in (1/2)Z")
+    return eff, box
 
 
 def _factor_data(tops, bottoms, e2):
@@ -405,11 +417,13 @@ def _groups(data, eff, v2, box, steps):
     vectors, and each summand is a group of its own, n paired with an empty
     level part, until the sum has more than _FACTOR_MIN summands.  Past
     that, every summand is grouped by the cross contributions (x, y) of the
-    sign and the level block: the level leaves of the prefix that yielded a
-    summand and all leaves after it form a level table (see _level_table);
-    the sign vectors at each y of the table are walked with the sign rows
-    alone and grouped by x; and the level sums of (y, x) are read from
-    _LEVELS, or summed from the table's leaves at y and added to it.
+    sign and the level block: every leaf of the level walk goes into a
+    level table (see _level_table); the sign vectors at each y of the table
+    are walked with the sign rows alone and grouped by x; and the level
+    sums of (y, x) are read from _LEVELS, or summed from the table's leaves
+    at y and added to it.  A sign vector that passes the sign rows pairs
+    with a level leaf exactly when that leaf's binomials are nonzero at its
+    x, so _level_sums drops every leaf that forms no summand.
 
     _LEVELS is keyed by the level data: the matrix, u, v2, the cutoffs and
     the box on the levels.  The weight r of a coinvariant character moves
@@ -419,10 +433,9 @@ def _groups(data, eff, v2, box, steps):
     runs over every level leaf in the level box at y whose binomials are
     nonzero at x.  Each such leaf forms a nonzero summand with the sign
     vector that made this call read (y, x).  The walk never prunes a vector
-    that extends to a summand, and the prefix leaves that yield one are
-    recorded, so this call's own table holds every such leaf.  So the sum
-    reads neither the sign cutoffs, the sign box, v on the signs, qmax nor
-    zwin.
+    that extends to a summand, and the table holds every leaf of the level
+    walk, so this call's own table holds every such leaf.  So the sum reads
+    neither the sign cutoffs, the sign box, v on the signs, qmax nor zwin.
     """
     m = len(steps)
     ns = 2
@@ -436,14 +449,10 @@ def _groups(data, eff, v2, box, steps):
     block_leaves = []
     _walk(steps[: m - ns], [0] * m, [0] * m, (), block_leaves)
     sign_steps = steps[m - ns:]
-    walked = []  # the level leaves that yielded a summand
-    for j, leaf in enumerate(block_leaves):
-        count = len(leaves)
+    for leaf in block_leaves:
         _walk(sign_steps, *leaf, leaves)
-        if len(leaves) > count:
-            walked.append(leaf)
-            if len(leaves) > _FACTOR_MIN:
-                break
+        if len(leaves) > _FACTOR_MIN:
+            break
     else:
         return groups
     key = (data.matrix, data.u[ns:], tuple(v2[ns:]), tuple(eff[ns:]),
@@ -452,10 +461,9 @@ def _groups(data, eff, v2, box, steps):
     if sums is None:
         _LEVELS.clear()
         sums = _LEVELS[key] = {}
-    block_leaves[: j + 1] = walked  # of the prefix, those with a summand
     table = _level_table(data, eff, v2, block_leaves)
     cross = list(zip(*[row[ns:] for row in data.matrix[:ns]]))  # A_LS by rows
-    cut = [(lo, hi, row[:ns], own, room[:ns], need and need[:ns])
+    cut = [(lo, hi, row[:ns], own, room[:ns], need[:ns])
            for lo, hi, row, own, room, need in sign_steps]  # sign rows only
     groups = []
     for y, at_y in table.items():
@@ -556,7 +564,9 @@ def lattice_sum(
     qmax=None,
     zwin=None,
 ) -> BiLaurent:
-    """Evaluate the lattice sum over an explicit finite box.
+    """Evaluate the lattice sum over an explicit finite box.  N needs one
+    exact integer and the box one (lo, hi) pair of exact integers per
+    coordinate (ValueError otherwise).
 
     A box with no negative coordinate gives the standard-binomial sum: for
     n >= 0 every nonzero factor has 0 <= n_a <= t_a, where the extended and
@@ -593,13 +603,14 @@ def lattice_sum(
     site once, not once per r.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
-    zwin, exactly.  A product of a sign part and a level sum is skipped
+    zwin, exactly; each is None or an exact number in (1/2)Z (ValueError
+    otherwise).  A product of a sign part and a level sum is skipped
     only when its z-degree lies outside zwin or the closed-form lowest
     exponents of its factors (_ext_min_qexp) already put it above qmax.
     Other products are added whole, and each part is cut at qmax once,
     when it is unpacked.
     """
-    eff = _eff(data, nvec)
+    eff, box = _eff(data, nvec, box, qmax, zwin)
     steps = _steps(box, data.matrix, eff)
     if steps is None:
         return BiLaurent.zero()

@@ -45,7 +45,6 @@ Exp = Union[int, Fraction]
 
 __all__ = [
     "BiLaurent",
-    "Fraction",
     "bounded_partition_counts",
 ]
 
@@ -88,12 +87,7 @@ class BiLaurent:
                 q = norm_exp(q)
                 if not isinstance(z, int):
                     raise TypeError("z-exponents must be int")
-                k = (q, z)
-                v = data.get(k, 0) + c
-                if v:
-                    data[k] = v
-                elif k in data:
-                    del data[k]
+                data[q, z] = c  # distinct keys stay distinct: norm_exp(q) == q
         self._terms = data
 
     @classmethod

@@ -161,15 +161,15 @@ class _Chain:
     digit, the least exponent of the sum, so no stored int holds low zero
     digits.  supernomial(L, a) is total(k, a, 0).
 
-    The sum under a node does not depend on the path to it, so the nodes
-    at positions 2..k-1 are memoised and each is summed once for every a.
-    A position-k node serves one a, whose value supernomial keeps, and a
-    position-1 node is one shifted binomial, so neither is stored.  Every
-    step exponent n (S_{i+1} - n_{i+1}) is >= 0, since n_{i+1} <= S_{i+1}.
-    n_pos runs up to L_pos + next_n, past which its binomial vanishes, and
-    from what the positions below cannot take up: they take at most
-    W_{pos-1} + (pos-1) n_pos with W_i = sum_{j<=i} j*L_j.  So every node
-    visited is nonzero, and a position-1 node has one term.
+    The sum under a node does not depend on the path to it, so every child
+    node, at positions 0..k-1, is memoised and summed once for every a.  A
+    position-k node serves one a, whose value supernomial keeps, so it is
+    not stored.  Every step exponent n (S_{i+1} - n_{i+1}) is >= 0, since
+    n_{i+1} <= S_{i+1}.  n_pos runs up to L_pos + next_n, past which its
+    binomial vanishes, and from what the positions below cannot take up:
+    they take at most W_{pos-1} + (pos-1) n_pos with W_i = sum_{j<=i}
+    j*L_j.  So every node visited is nonzero, and a position-1 node has one
+    term.
 
     Every coefficient is nonnegative and at most the value at q = 1 summed
     over all a, prod_j (j+1)^(L_j), which fixes one byte width for every
@@ -203,13 +203,10 @@ class _Chain:
         acc = 0
         for n in range(least, min(top, remaining) + 1):
             key = (pos - 1, remaining - n, n)
-            if pos == 2:
-                low, value = self.total(*key)
-            else:
-                child = memo.get(key)
-                if child is None:
-                    child = memo[key] = self.total(*key)
-                low, value = child
+            child = memo.get(key)
+            if child is None:
+                child = memo[key] = self.total(*key)
+            low, value = child
             acc += packed[top, n] * value << step * n + bits * low
         low = ((acc & -acc).bit_length() - 1) // bits
         return low, acc >> bits * low

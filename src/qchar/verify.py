@@ -97,10 +97,6 @@ class IdentityReport:
     failures: list = field(default_factory=list)
     ms: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def to_json_obj(self) -> dict:
         return {
             "identity": self.identity,

@@ -64,6 +64,19 @@ def test_rep_character_p1_z_free_window():
     assert value.poly == qz((0, 0, 1), (1, 0, 1))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, 1, 1), "p must be positive"),
+    ((-1, 0, 1, 1), "p must be positive"),
+    ((2, 2, 1, 1), "need 0 <= r < p"),
+    ((2, -1, 1, 1), "need 0 <= r < p"),
+    ((2, 0, -1, 1), "cutoffs must be nonnegative"),
+    ((2, 0, 1, -1), "cutoffs must be nonnegative"),
+])
+def test_rep_character_rejects_bad_parameters(args, message):
+    with pytest.raises(ValueError, match=message):
+        rep_character(*args)
+
+
 def test_rep_character_prefactor_shifts():
     value = rep_character(3, 2, 0, 0)
     assert value.q_shift == Fraction(2 * (2 - 3 + 2), 6)

@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import qchar.characters as characters
 import qchar.cli
 import qchar.verify as verify
 from qchar.cli import main
@@ -115,7 +116,7 @@ def test_compute_char_coinv_applies_qmax_and_zwin(capsys):
     assert outs[0]["poly"]["terms"] == kept
 
 
-def test_malformed_input_exits_2(capsys):
+def test_malformed_input_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compute", "qbin", "--n", "4")
     assert code == 2
     assert err.strip().startswith("error:")
@@ -124,6 +125,43 @@ def test_malformed_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "compute", "qsup", "--L", "1,x", "--a", "0")
     assert code == 2
+    # malformed option values, each named on one stderr line
+    config = tmp_path / "cfg.json"
+    config.write_text("[1, 2]")  # a JSON list, not an object
+    for argv, message in [
+        (("compute", "dvec", "--p", "2", "--pairs", "1"),
+         "pair '1' must be two integers"),
+        (("compute", "char-coinv", "--p", "2", "--r", "0", "--site", "1"),
+         "site must start with 'plus,minus'"),
+        (("verify", "tb", "--p", "4..2"), "empty range '4..2'"),
+        (("verify", "tb", "--config", str(config)),
+         "config file must hold a JSON object"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_verify_single_p_runs_that_p(capsys):
+    code, out, _ = run_cli(capsys, "verify", "tb", "--p", "3", "--nmax", "1")
+    assert code == 0
+    cases = verify._cases_tb({"p_lo": 3, "p_hi": 3, "nmax": 1, "margin": 2})
+    assert {case[0] for case in cases} == {3}
+    assert out == f"tb: {len(cases)} cases, 0 failures\n"
+
+
+@pytest.mark.parametrize("argv, text, latex", [
+    (("compute", "qbin", "--n", "4", "--m", "2"),
+     "1 + q + 2*q^2 + q^3 + q^4", "1 + q^{1} + 2 q^{2} + q^{3} + q^{4}"),
+    (("compute", "char-coinv", "--p", "2", "--r", "1", "--site", "1,1;1"),
+     "z^(-1/2) q^(1/4) * (1 + q^2*z^(-1))",
+     "z^{-1/2} q^{1/4} \\left( 1 + q^{2} z^{-1} \\right)"),
+    (("compute", "dvec", "--p", "2", "--pairs", "1,0;1,0"), "2 2", None),
+])
+def test_compute_text_and_latex_formats(capsys, argv, text, latex):
+    for fmt, want in (("text", text), ("latex", latex)):
+        if want is not None:
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, want + "\n", "")
 
 
 def test_verify_exit_zero_and_report_schema(capsys, tmp_path):
@@ -288,6 +326,93 @@ def test_corrupted_engine_is_caught(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "knuth", "--range", "3")
     assert code == 1
     assert "counterexample" in out
+
+
+def _terms(*triples):
+    """A BiLaurent payload as JSON: (q, z, c) with q and c as strings."""
+    return {"terms": [{"q": q, "z": z, "c": c} for q, z, c in triples]}
+
+
+def _counterexample_stdout(header, params, lhs, rhs):
+    return (f"{header}\ncounterexample {json.dumps(params)}\n"
+            f"  lhs: {json.dumps(lhs)}\n  rhs: {json.dumps(rhs)}\n")
+
+
+def test_corrupted_pascal_binomial_pins_the_id_payload(capsys, monkeypatch):
+    # X(2, 1) off by 1: the first failing case is its own, whose rhs is the
+    # dict of both recurrences
+    real = verify.qbinomial_ext
+    monkeypatch.setattr(verify, "qbinomial_ext", lambda n, m: real(n, m) + (
+        BiLaurent.one() if (n, m) == (2, 1) else BiLaurent.zero()))
+    code, out, _ = run_cli(capsys, "verify", "pascal", "--window", "2")
+    assert code == 1
+    one_plus_q = _terms(("0", 0, "1"), ("1", 0, "1"))
+    assert out == _counterexample_stdout(
+        "pascal: 26 cases, 2 failures", {"case": "id", "n": 2, "m": 1},
+        _terms(("0", 0, "2"), ("1", 0, "1")),
+        {"first": one_plus_q, "second": one_plus_q})
+
+
+def test_corrupted_regenerated_table_pins_the_regen_payload(capsys,
+                                                            monkeypatch):
+    real = verify.regenerate_ext_table
+
+    def corrupted(window):
+        table = real(window)
+        table[1, 0] = table[1, 0] + BiLaurent.term(1, 1)
+        return table
+
+    monkeypatch.setattr(verify, "regenerate_ext_table", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "pascal", "--window", "1")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "pascal: 10 cases, 1 failures", {"case": "regen", "n": 1, "m": 0},
+        _terms(("0", 0, "1"), ("1", 0, "1")), _terms(("0", 0, "1")))
+
+
+def test_corrupted_rdc_factor_pins_the_payload(capsys, monkeypatch):
+    # X(1, 1) = 1 + q: the lhs X(1,1)^2 and the one-term rhs differ
+    real = verify._ext_qdict
+    monkeypatch.setattr(verify, "_ext_qdict", lambda n, m: (
+        {0: 1, 1: 1} if (n, m) == (1, 1) else real(n, m)))
+    code, out, _ = run_cli(capsys, "verify", "rdc", "--bound", "1")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "rdc: 81 cases, 1 failures", {"N": 1, "M": 1, "n": 1, "m": 1},
+        _terms(("0", 0, "1"), ("1", 0, "2"), ("2", 0, "1")),
+        _terms(("0", 0, "1"), ("1", 0, "1")))
+
+
+def test_corrupted_character_pins_the_flow_payload(capsys, monkeypatch):
+    # 1 added to every character polynomial: at the site (0, 0; 0) the
+    # flowed side reads 1 + qz and the flow of the plain side 2qz
+    real = characters.supernomial_char_poly
+    monkeypatch.setattr(characters, "supernomial_char_poly",
+                        lambda r, site: real(r, site) + BiLaurent.one())
+    lhs = _terms(("0", 0, "1"), ("1", 1, "1"))
+    rhs = _terms(("1", 1, "2"))
+    assert characters.spectral_flow_check(0, SiteVector(2, 0, 0, (0,))) == (
+        False, {"p": 2, "r": 0, "mult": [0, 0], "minus": 0,
+                "lhs": lhs, "rhs": rhs})
+    code, out, _ = run_cli(capsys, "verify", "flow", "--p", "2",
+                           "--entry-max", "0")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "flow: 2 cases, 2 failures",
+        {"p": 2, "r": 0, "plus": 0, "minus": 0, "levels": [0]}, lhs, rhs)
+
+
+def test_corrupted_dimension_route_pins_the_dims_payload(capsys, monkeypatch):
+    real = verify.dims_via_supernomial
+    monkeypatch.setattr(verify, "dims_via_supernomial",
+                        lambda r, site: real(r, site) + 1)
+    code, out, _ = run_cli(capsys, "verify", "dims", "--p", "2",
+                           "--entry-max", "0")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "dims: 2 cases, 2 failures",
+        {"p": 2, "r": 0, "plus": 0, "minus": 0, "levels": [0]},
+        {"character": 1, "supernomial": 2, "fusion": 1}, None)
 
 
 def test_wrong_balanced_sum_is_caught(capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import fermionic
+from qchar.characters import coinv_char_fermionic
 from qchar.laurent import BiLaurent, bounded_partition_counts
 from qchar.fermionic import (
     NonFiniteSupportError,
@@ -124,6 +125,37 @@ def test_site_data_is_cached_and_still_validated():
                     support_box(SiteVector(2, 1, 1)))
     with pytest.raises(ValueError):
         QuadraticData.for_site(1, 0)  # p < 2
+
+
+def test_lattice_routes_reject_a_malformed_box_or_cutoff():
+    # one check serves lattice_sum and lattice_support: N holds exact
+    # integers, the box one (lo, hi) pair of exact integers per coordinate,
+    # and qmax and zwin are None or exact numbers in (1/2)Z
+    data = QuadraticData.for_site(3, 2)
+    site = SiteVector(3, 2, 2, (2, 3))
+    comps, box = site.components(), support_box(site)
+    assert lattice_sum(data, comps, box) == qz((0, 0, 1), (1, 0, 1))
+    exact = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    assert lattice_sum(data, comps, exact) == lattice_sum(data, comps, box)
+    for bad in ([], box[:3], box + [(0, 0)], box[:3] + [(0, 1.5)],
+                box[:3] + [(0, Fraction(3, 2))], box[:3] + [(0, 1, 2)],
+                box[:3] + [1]):
+        with pytest.raises(ValueError, match="box"):
+            lattice_sum(data, comps, bad)
+        with pytest.raises(ValueError, match="box"):
+            lattice_support(data, comps, bad)
+    for bad in ((2.0, 2, 2, 3), (Fraction(5, 2), 2, 2, 3)):
+        with pytest.raises(ValueError, match="not an exact integer"):
+            lattice_sum(data, bad, box)
+    wide = SiteVector(3, 10, 10, (10, 16))
+    for cut in ({"qmax": 2.5}, {"qmax": 3.0}, {"zwin": 1.5}):
+        with pytest.raises(ValueError, match="cutoff"):
+            coinv_char_fermionic(0, wide, **cut)
+        with pytest.raises(ValueError, match="cutoff"):
+            lattice_sum(data, comps, box, **cut)
+    full = lattice_sum(data, comps, box)
+    cut = lattice_sum(data, comps, box, qmax=HALF, zwin=Fraction(3, 2))
+    assert cut == full.truncate_q(HALF).clip_z(1) == qz((0, 0, 1))
 
 
 def test_support_box_contains_small_square():

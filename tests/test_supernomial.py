@@ -123,6 +123,8 @@ def test_supernomial_zero_vector():
 def test_supernomial_rejects_negative_entry():
     with pytest.raises(ValueError):
         supernomial((1, -1), 0)
+    with pytest.raises(ValueError, match="at least one entry"):
+        supernomial((), 0)
 
 
 @pytest.mark.parametrize("route", [supernomial, supernomial_at1],
