@@ -17,7 +17,13 @@ from functools import lru_cache
 
 from .laurent import BiLaurent, _exact_int, bounded_partition_counts, norm_exp
 from .fermionic import QuadraticData, lattice_sum, support_box
-from .supernomial import SiteVector, _full_site, supernomial_lattice_side
+from .supernomial import (
+    SiteVector,
+    _full_site,
+    _shift,
+    _weight,
+    supernomial_lattice_side,
+)
 
 __all__ = [
     "CharacterValue",
@@ -83,11 +89,10 @@ def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
     """Character of the weight-r irreducible: prefactor times the truncation
     of (1/(q)_inf) * sum_n z^n q^(p(n^2+n)/2 - n(r+1)).  p, r and the
     cutoffs must be exact integers (ValueError otherwise)."""
-    p, r, qmax, zwin = map(_exact_int, (p, r, qmax, zwin))
+    p, qmax, zwin = map(_exact_int, (p, qmax, zwin))
     if p < 1:
         raise ValueError("p must be positive")
-    if not 0 <= r < p:
-        raise ValueError("need 0 <= r < p")
+    r = _weight(r, p)
     if qmax < 0 or zwin < 0:
         raise ValueError("cutoffs must be nonnegative")
     acc: dict = {}
@@ -100,12 +105,6 @@ def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
             acc[(exponent + j, n)] = acc.get((exponent + j, n), 0) + c
     q_shift, z_shift = _prefactor(p, r)
     return CharacterValue(q_shift, z_shift, BiLaurent(acc))
-
-
-def _shift(p: int, r: int) -> Fraction:
-    """p/2 - r - 1, the exponent shift of the weight-r routes: z -> z q^shift
-    in supernomial_char_poly and v = shift*u in coinv_char_fermionic."""
-    return Fraction(p, 2) - r - 1
 
 
 def _moved(site: SiteVector, k: int) -> SiteVector:
@@ -134,9 +133,7 @@ def supernomial_char_poly(r: int, site: SiteVector) -> BiLaurent:
 
     At q = z = 1 the sum picks out the supernomial arguments congruent to
     N_- + r mod p, which is exactly the weight-r dimension count."""
-    p, r = site.p, _exact_int(r)
-    if not 0 <= r < p:
-        raise ValueError("need 0 <= r < p")
+    p, r = site.p, _weight(r, site.p)
     return supernomial_lattice_side(_moved(site, r)).substitute_z(_shift(p, r))
 
 
@@ -163,9 +160,7 @@ def coinv_char_fermionic(
     Optional qmax / zwin truncate the result exactly; they may be
     half-integers, and r must be an exact integer (ValueError otherwise).
     """
-    p, d, r = site.p, site.d, _exact_int(r)
-    if not 0 <= r < p:
-        raise ValueError("need 0 <= r < p")
+    p, d, r = site.p, site.d, _weight(r, site.p)
     if d > p - 1:
         raise ValueError("fermionic character route needs d <= p-1")
     poly = lattice_sum(

@@ -62,7 +62,7 @@ from .laurent import (
     _width,
 )
 from .qbinom import _ext_min_qexp, _packed_binomials
-from .supernomial import SiteVector, multiplicities
+from .supernomial import SiteVector, _shift, _weight, multiplicities
 
 __all__ = [
     "NonFiniteSupportError",
@@ -686,14 +686,13 @@ def gordon_series(p: int, d: int, r: int, qmax: int, zwin: int) -> BiLaurent:
     yields exactly those n; for d <= p-1, n A n >= |n|^2 on n >= 0.
     p, d, r and the cutoffs must be exact integers (ValueError otherwise).
     """
-    p, d, r, qmax, zwin = map(_exact_int, (p, d, r, qmax, zwin))
+    p, d, qmax, zwin = map(_exact_int, (p, d, qmax, zwin))
     if not 0 <= d <= p - 1:
         raise ValueError("need 0 <= d <= p-1")
-    if not 0 <= r < p:
-        raise ValueError("need 0 <= r < p")
+    r = _weight(r, p)
     if qmax < 0 or zwin < 0:
         raise ValueError("cutoffs must be nonnegative")
-    data = QuadraticData.for_site(p, d, Fraction(p, 2) - r - 1)
+    data = QuadraticData.for_site(p, d, _shift(p, r))
     v2 = tuple(int(2 * x) for x in data.v)
     acc: dict = {}
     for n in _ellipsoid(data.matrix, v2, 2 * qmax):

@@ -68,6 +68,13 @@ def _exact_int(x) -> int:
     raise ValueError(f"{x!r} is not an exact integer")
 
 
+def _int(x, what: str) -> int:
+    """x as an int, a bool collapsed; TypeError unless x is an int."""
+    if not isinstance(x, int):
+        raise TypeError(f"{what} must be int")
+    return int(x)
+
+
 class BiLaurent:
     """Immutable Laurent polynomial in q (rational exponents) and z (integer
     exponents) with integer coefficients."""
@@ -77,17 +84,11 @@ class BiLaurent:
     def __init__(self, terms: Mapping | None = None):
         data: dict = {}
         if terms:
-            for key, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError("coefficients must be int")
-                c = int(c)  # collapse bool
-                if c == 0:
-                    continue
-                q, z = key
-                q = norm_exp(q)
-                if not isinstance(z, int):
-                    raise TypeError("z-exponents must be int")
-                data[q, z] = c  # distinct keys stay distinct: norm_exp(q) == q
+            for (q, z), c in terms.items():
+                c = _int(c, "coefficients")
+                if c:
+                    # distinct keys stay distinct: norm_exp(q) == q, int(z) == z
+                    data[norm_exp(q), _int(z, "z-exponents")] = c
         self._terms = data
 
     @classmethod
@@ -109,14 +110,12 @@ class BiLaurent:
 
     @classmethod
     def term(cls, coef: int, q: Exp = 0, z: int = 0) -> "BiLaurent":
-        if coef == 0:
-            return cls.zero()
-        return cls._raw({(norm_exp(q), z): coef})
+        return cls({(q, z): coef})
 
     @classmethod
     def from_qdict(cls, d: Mapping[Exp, int]) -> "BiLaurent":
         """Build a z-free value from a {q_exp: coefficient} mapping."""
-        return cls._raw({(norm_exp(q), 0): c for q, c in d.items() if c})
+        return cls({(q, 0): c for q, c in d.items()})
 
     @classmethod
     def _from_halves(cls, acc: dict) -> "BiLaurent":
@@ -232,9 +231,9 @@ class BiLaurent:
 
     def shift(self, dq: Exp = 0, dz: int = 0) -> "BiLaurent":
         """Multiply by the monomial q^dq z^dz."""
+        dq, dz = norm_exp(dq), _int(dz, "z-exponents")
         if dq == 0 and dz == 0:
             return self
-        dq = norm_exp(dq)
         return BiLaurent._raw({(q + dq, z + dz): c for (q, z), c in self._terms.items()})
 
     # -- specializations and reshaping ---------------------------------------

@@ -101,12 +101,26 @@ def _check_entries(entries) -> tuple[int, ...]:
     return entries
 
 
+def _weight(r, p: int) -> int:
+    """r as an int: the one weight check of the weight-r routes (ValueError
+    unless r is an exact integer with 0 <= r < p)."""
+    r = _exact_int(r)
+    if not 0 <= r < p:
+        raise ValueError("need 0 <= r < p")
+    return r
+
+
+def _shift(p: int, r: int) -> Fraction:
+    """p/2 - r - 1, the exponent shift of the weight-r routes: z -> z q^shift
+    in supernomial_char_poly and v = shift*u in coinv_char_fermionic and
+    gordon_series."""
+    return Fraction(p, 2) - r - 1
+
+
 def _full_site(r: int, site: SiteVector) -> tuple[int, ...]:
     """L of a full site vector at weight r: the one check of the full-site
-    routes (ValueError unless r is an exact integer with 0 <= r < p,
-    d = p-1 and L >= 0)."""
-    if not 0 <= _exact_int(r) < site.p:
-        raise ValueError("need 0 <= r < p")
+    routes (ValueError unless _weight(r, p) passes, d = p-1 and L >= 0)."""
+    _weight(r, site.p)
     if site.d != site.p - 1:
         raise ValueError("need a full site vector (d = p-1)")
     return _check_entries(multiplicities(site))
@@ -136,7 +150,8 @@ def supernomial(entries, a: int) -> BiLaurent:
         if 0 <= a <= _top(entries):
             chain = _chain(entries)
             low, value = chain.total(len(entries), a, 0)
-            poly = BiLaurent.from_qdict(_unpack_qdict(value, chain.width, low))
+            terms = _unpack_qdict(value, chain.width, low)  # canonical ints
+            poly = BiLaurent._raw({(e, 0): c for e, c in terms.items()})
         _SUP[entries, a] = poly
     return poly
 
@@ -259,9 +274,9 @@ def supernomial_lattice_side(site: SiteVector) -> BiLaurent:
     multiplicity vector of the site: the supernomial side of the lattice-sum
     identities.  ValueError when some entry of L is negative."""
     p, mult = site.p, _check_entries(multiplicities(site))
-    out = BiLaurent.zero()
-    for a, arg in _residue_class(p, mult, site.minus):
-        piece = supernomial(mult, arg)
-        if piece:
-            out = out + piece.shift(Fraction(p * a * a, 2), a)
-    return out
+    # each a has its own z-degree, and p a^2 has the parity of p a
+    return BiLaurent._from_halves({
+        (a, p * a & 1): {e + (p * a * a >> 1): c
+                         for e, c in supernomial(mult, arg).qdict().items()}
+        for a, arg in _residue_class(p, mult, site.minus)
+    })

@@ -38,22 +38,18 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .laurent import BiLaurent, _qdict_iadd, _qdict_mul
 from .qbinom import _ext_qdict, qbinomial, qbinomial_ext
 from .supernomial import (
     SiteVector,
+    _top,
     multiplicities,
     supernomial,
     supernomial_lattice_side,
 )
-from .fermionic import (
-    QuadraticData,
-    coupling_matrix,
-    fermionic_sum,
-    lattice_sum,
-    standard_flow_vector,
-)
+from .fermionic import QuadraticData, fermionic_sum, lattice_sum
 from .characters import (
     coinv_char_fermionic,
     coinv_char_supernomial,
@@ -133,22 +129,26 @@ def _site_params(p, d, plus, minus, levels) -> dict:
 # -- shared sweep enumeration --------------------------------------------------
 
 
+def _profiles(p, d, total, hi):
+    """The sorted level tuples in [0, hi]^d whose site of rank p and
+    N_+ + N_- = total has L >= 0.  L depends only on the profile (levels,
+    total), so the sweeps check each profile once, not once per (plus,
+    minus)."""
+    return [
+        levels
+        for levels in itertools.combinations_with_replacement(range(hi + 1), d)
+        if min(multiplicities(SiteVector(p, total, 0, levels))) >= 0
+    ]
+
+
 def _site_cases(p_lo, p_hi, nmax, margin, max_d=None):
     """(p, d, plus, minus, levels) with nonnegative multiplicity vector;
-    plus ranges margin below 0 and above the total.  The multiplicity
-    vector depends only on the profile (levels, total), so each profile is
-    checked once, not once per plus."""
+    plus ranges margin below 0 and above the total."""
     for p in range(p_lo, p_hi + 1):
         d_hi = 2 * p - 3 if max_d is None else min(max_d, 2 * p - 3)
         for d in range(0, d_hi + 1):
             for total in range(nmax + 1):
-                kept = [
-                    levels
-                    for levels in itertools.combinations_with_replacement(
-                        range(total + 1), d
-                    )
-                    if min(multiplicities(SiteVector(p, total, 0, levels))) >= 0
-                ]
+                kept = _profiles(p, d, total, total)
                 for plus in range(-margin, total + margin + 1):
                     for levels in kept:
                         yield (p, d, plus, total - plus, levels)
@@ -165,18 +165,11 @@ def _site_case_list(p_lo, p_hi, nmax, margin):
 def _full_site_cases(p_lo, p_hi, entry_max):
     """(p, r, plus, minus, levels) over full sites (d = p-1) with every
     component in [0, entry_max] and nonnegative multiplicities, as a tuple
-    built once for char-eq, flow and dims, which sweep the same sites.  The
-    multiplicity vector depends only on the profile (levels, plus + minus),
-    so each profile is checked once, not once per (plus, minus)."""
+    built once for char-eq, flow and dims, which sweep the same sites."""
     cases = []
     for p in range(p_lo, p_hi + 1):
-        candidates = list(itertools.combinations_with_replacement(
-            range(entry_max + 1), p - 1))
-        kept = [
-            [levels for levels in candidates
-             if min(multiplicities(SiteVector(p, total, 0, levels))) >= 0]
-            for total in range(2 * entry_max + 1)
-        ]
+        kept = [_profiles(p, p - 1, total, entry_max)
+                for total in range(2 * entry_max + 1)]
         for plus in range(entry_max + 1):
             for minus in range(entry_max + 1):
                 for levels in kept[plus + minus]:
@@ -375,8 +368,7 @@ def _cases_rec(opts):
                 cases.append(("sup", mult, a))
     for k in (1, 2, 3):
         for mult in itertools.product(range(entry + 1), repeat=k):
-            top = sum((i + 1) * v for i, v in enumerate(mult))
-            for a in range(-2, top + 3):
+            for a in range(-2, _top(mult) + 3):
                 cases.append(("trunc", mult, a))
     for case in _site_cases(2, 3, 3, 1, max_d=None):
         p, d, plus, minus, levels = case
@@ -387,31 +379,30 @@ def _cases_rec(opts):
     return cases
 
 
+def _cutoff_step(data, nvec, a):
+    """The one-step cutoff recurrence of the lattice sum chi of data (A, u,
+    v) at the cutoff N in direction a,
+
+        chi(N) = chi(N - e_a) + z^(u_a) q^(N_a + v_a - A_aa/2) chi(N - A e_a),
+
+    as (N - e_a, N - A e_a, the monomial)."""
+    row = data.matrix[a]
+    down = nvec[:a] + (nvec[a] - 1,) + nvec[a + 1 :]
+    pref = BiLaurent.term(1, nvec[a] + data.v[a] - Fraction(row[a], 2),
+                          data.u[a])
+    return down, tuple(map(sub, nvec, row)), pref
+
+
 def _cases_rec_main(opts):
     out = []
     for p, d, plus, minus, levels in _site_cases(2, 3, 3, 0, max_d=2):
-        site = SiteVector(p, plus, minus, levels)
-        a_mat = coupling_matrix(p, d)
+        data = QuadraticData.for_site(p, d)
         for aidx in range(d + 2):
-            down = _shift_components(site.components(), aidx, 1)
-            downa = tuple(
-                x - a_mat[aidx][b] for b, x in enumerate(site.components())
-            )
-            ok = True
-            for comps in (down, downa):
-                shifted = SiteVector(p, comps[0], comps[1], comps[2:])
-                if any(v < 0 for v in multiplicities(shifted)):
-                    ok = False
-                    break
-            if ok:
+            down, downa, _ = _cutoff_step(data, (plus, minus) + levels, aidx)
+            if all(min(multiplicities(SiteVector(p, c[0], c[1], c[2:]))) >= 0
+                   for c in (down, downa)):
                 out.append(("main", p, d, plus, minus, levels, aidx))
     return out
-
-
-def _shift_components(comps, idx, amount):
-    out = list(comps)
-    out[idx] -= amount
-    return tuple(out)
 
 
 def _cases_rec_diag(opts):
@@ -454,43 +445,33 @@ def _check_rec(case):
         return _compare({"case": "pad", "p": p, "plus": plus, "minus": minus,
                          "levels": list(levels)},
                         fermionic_sum(short), fermionic_sum(padded))
+    # one cutoff-recurrence step: main for the coupling matrix of a site,
+    # diag for a diagonal matrix with optional half-integer exponent shift
     if kind == "main":
         _, p, d, plus, minus, levels, aidx = case
-        a_mat = coupling_matrix(p, d)
-        u = standard_flow_vector(d + 2)
+        data = QuadraticData.for_site(p, d)
+        nvec = (plus, minus) + levels
 
         def chi(comps):
             return fermionic_sum(SiteVector(p, comps[0], comps[1], comps[2:]))
 
-        comps = SiteVector(p, plus, minus, levels).components()
-        down = _shift_components(comps, aidx, 1)
-        downa = tuple(x - a_mat[aidx][b] for b, x in enumerate(comps))
-        pref = BiLaurent.term(
-            1, Fraction(2 * comps[aidx] - a_mat[aidx][aidx], 2), u[aidx]
+        params = {"case": "main", "p": p, "d": d, "plus": plus, "minus": minus,
+                  "levels": list(levels), "a": aidx}
+    else:
+        _, m, diag, nvec, u, v2, aidx = case
+        a_mat = tuple(
+            tuple(diag[i] if i == j else 0 for j in range(m)) for i in range(m)
         )
-        return _compare({"case": "main", "p": p, "d": d, "plus": plus,
-                         "minus": minus, "levels": list(levels), "a": aidx},
-                        chi(comps), chi(down) + pref * chi(downa))
-    # diag: one cutoff-recurrence step for a diagonal matrix with optional
-    # half-integer exponent shift
-    _, m, diag, nvec, u, v2, aidx = case
-    a_mat = tuple(
-        tuple(diag[i] if i == j else 0 for j in range(m)) for i in range(m)
-    )
-    v = tuple(Fraction(x, 2) for x in v2)
-    data = QuadraticData(a_mat, u, v)
-    box = [(0, max(nvec[b] // diag[b], 0)) for b in range(m)]
-    lhs = lattice_sum(data, nvec, box)
-    down = _shift_components(nvec, aidx, 1)
-    downa = tuple(x - a_mat[aidx][b] for b, x in enumerate(nvec))
-    pref = BiLaurent.term(
-        1,
-        nvec[aidx] + v[aidx] - Fraction(diag[aidx], 2),
-        u[aidx],
-    )
-    rhs = lattice_sum(data, down, box) + pref * lattice_sum(data, downa, box)
-    return _compare({"case": "diag", "diag": list(diag), "N": list(nvec),
-                     "u": list(u), "v2": list(v2), "a": aidx}, lhs, rhs)
+        data = QuadraticData(a_mat, u, tuple(Fraction(x, 2) for x in v2))
+        box = [(0, max(nvec[b] // diag[b], 0)) for b in range(m)]
+
+        def chi(comps):
+            return lattice_sum(data, comps, box)
+
+        params = {"case": "diag", "diag": list(diag), "N": list(nvec),
+                  "u": list(u), "v2": list(v2), "a": aidx}
+    down, downa, pref = _cutoff_step(data, nvec, aidx)
+    return _compare(params, chi(nvec), chi(down) + pref * chi(downa))
 
 
 # -- char-eq / flow / dims -------------------------------------------------------------

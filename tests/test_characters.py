@@ -71,6 +71,7 @@ def test_rep_character_p1_z_free_window():
     ((2, -1, 1, 1), "need 0 <= r < p"),
     ((2, 0, -1, 1), "cutoffs must be nonnegative"),
     ((2, 0, 1, -1), "cutoffs must be nonnegative"),
+    ((2, Fraction(1, 2), 1, 1), "not an exact integer"),
 ])
 def test_rep_character_rejects_bad_parameters(args, message):
     with pytest.raises(ValueError, match=message):
@@ -166,7 +167,8 @@ def test_weight_r_routes_check_weight_and_site(route, full_site_only):
     fn = getattr(qchar, route)
     site = SiteVector(3, 2, 1, (1, 2))
     fn(0, site)
-    bad = [(-1, site), (3, site), (0, SiteVector(3, 1, 1, (1, 1)))]  # L_2 < 0
+    bad = [(-1, site), (3, site), (Fraction(1, 2), site),
+           (0, SiteVector(3, 1, 1, (1, 1)))]  # L_2 < 0
     if full_site_only:
         bad.append((0, SiteVector(3, 1, 1, (1,))))  # d < p-1
     for r, bad_site in bad:

@@ -8,6 +8,8 @@ import json
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -140,6 +142,23 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_module_entry_point_runs_main_in_a_new_process(capsys):
+    # `python -m qchar.cli` exits with main's code and prints its bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(qchar.__file__).parents[1]))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "qchar.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    argv = ("compute", "qbin", "--n", "4", "--m", "2")
+    assert run(*argv) == run_cli(capsys, *argv)
+    code, out, err = run("verify", "tb", "--p", "3..2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_single_p_runs_that_p(capsys):
@@ -381,6 +400,42 @@ def test_corrupted_rdc_factor_pins_the_payload(capsys, monkeypatch):
         "rdc: 81 cases, 1 failures", {"N": 1, "M": 1, "n": 1, "m": 1},
         _terms(("0", 0, "1"), ("1", 0, "2"), ("2", 0, "1")),
         _terms(("0", 0, "1"), ("1", 0, "1")))
+
+
+def test_corrupted_fermionic_sum_pins_the_rec_main_payload(capsys,
+                                                           monkeypatch):
+    # 1 added to every lattice sum of a site: the padding cases still hold,
+    # and the first cutoff step, chi(0, 1) = chi(-1, 1) + q^-1 z chi(-2, 2)
+    # at p = 2, reads 2 against 2 + q^-1 z
+    real = verify.fermionic_sum
+    monkeypatch.setattr(verify, "fermionic_sum",
+                        lambda site: real(site) + BiLaurent.one())
+    code, out, _ = run_cli(capsys, "verify", "rec", "--entry-max", "0",
+                           "--amax", "0", "--count", "1")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "rec: 211 cases, 93 failures",
+        {"case": "main", "p": 2, "d": 0, "plus": 0, "minus": 1, "levels": [],
+         "a": 0},
+        _terms(("0", 0, "2")),
+        _terms(("-1", 1, "1"), ("0", 0, "2")))
+
+
+def test_corrupted_lattice_sum_pins_the_rec_diag_payload(capsys, monkeypatch):
+    # lattice_sum is called by the diag cases alone; with 1 added, the step
+    # chi(3) = chi(2) + q^(3 - 1/2 - 3/2) z^-1 chi(0) for A = (3), u = -1,
+    # v = -1/2 gains one more q z^-1 on the right
+    real = verify.lattice_sum
+    monkeypatch.setattr(verify, "lattice_sum", lambda data, nvec, box: (
+        real(data, nvec, box) + BiLaurent.one()))
+    code, out, _ = run_cli(capsys, "verify", "rec", "--entry-max", "0",
+                           "--amax", "0", "--count", "1", "--seed", "39")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "rec: 211 cases, 1 failures",
+        {"case": "diag", "diag": [3], "N": [3], "u": [-1], "v2": [-1], "a": 0},
+        _terms(("0", 0, "2"), ("1", -1, "1")),
+        _terms(("0", 0, "2"), ("1", -1, "2")))
 
 
 def test_corrupted_character_pins_the_flow_payload(capsys, monkeypatch):

@@ -529,6 +529,12 @@ def test_gordon_series_d_independent():
                 assert gordon_series(p, d, r, 4, 2) == base
 
 
+@pytest.mark.parametrize("r", [2, -1, Fraction(1, 2)])
+def test_gordon_series_rejects_a_weight_out_of_range(r):
+    with pytest.raises(ValueError):
+        gordon_series(2, 0, r, 2, 1)
+
+
 def test_gordon_series_vacuum_cutoff():
     for p in (2, 3, 5):
         assert gordon_series(p, 0, 0, 0, 0) == BiLaurent.one()

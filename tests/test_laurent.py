@@ -176,6 +176,26 @@ def test_json_integral_fraction_exponent_is_plain():
     assert p.to_json_obj()["terms"][0]["q"] == "1"
 
 
+def test_every_constructor_stores_int_coefficients_and_z_exponents():
+    # a bool collapses to int, as in the JSON and text forms
+    for value in (BiLaurent({(1, True): 2}), BiLaurent({(1, 1): True}) * 2,
+                  BiLaurent.term(2, 1, True), BiLaurent.term(2).shift(1, True)):
+        assert value.to_json_obj() == {"terms": [{"q": "1", "z": 1, "c": "2"}]}
+        assert value.to_latex() == "2 q^{1} z^{1}"
+    assert BiLaurent.from_qdict({0: True}).to_json_obj()["terms"] == [
+        {"q": "0", "z": 0, "c": "1"}]
+    # anything else inexact is refused, never stored
+    for build in (lambda: BiLaurent({(0, 0): 1.5}),
+                  lambda: BiLaurent({(0, 0.5): 1}),
+                  lambda: BiLaurent.term(1.5),
+                  lambda: BiLaurent.term(2, 0, 0.5),
+                  lambda: BiLaurent.one().shift(0, 0.5),
+                  lambda: BiLaurent.one().shift(0, 0.0),
+                  lambda: BiLaurent.from_qdict({0: 1.5})):
+        with pytest.raises(TypeError, match="must be int"):
+            build()
+
+
 def test_str_rendering():
     assert str(BiLaurent.zero()) == "0"
     assert str(qz((0, 0, -1), (HALF, -1, 3))) == "-1 + 3*q^(1/2)*z^(-1)"
