@@ -40,6 +40,7 @@ class CharacterValue:
     """A graded character z^z_shift q^q_shift * poly.
 
     Unhashable: equality normalizes the shifts, which no field hash respects.
+    A shift that is not an int or a Fraction raises TypeError.
     """
 
     q_shift: Fraction | int
@@ -47,8 +48,8 @@ class CharacterValue:
     poly: BiLaurent
 
     def __post_init__(self):
-        object.__setattr__(self, "q_shift", norm_exp(Fraction(self.q_shift)))
-        object.__setattr__(self, "z_shift", norm_exp(Fraction(self.z_shift)))
+        object.__setattr__(self, "q_shift", norm_exp(self.q_shift))
+        object.__setattr__(self, "z_shift", norm_exp(self.z_shift))
 
     def normalized(self) -> "CharacterValue":
         """Move the integer parts of both shifts into the polynomial."""

@@ -142,9 +142,10 @@ class QuadraticData:
             raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
         u = tuple(map(_exact_int, self.u))
-        v = tuple(norm_exp(Fraction(x)) for x in self.v) or (0,) * size
-        if any((2 * x).denominator != 1 for x in v):
-            raise ValueError("exponent shift v must lie in (1/2)Z")
+        v = tuple(self.v) or (0,) * size
+        if any(not isinstance(x, (int, Fraction)) or x * 2 % 1 for x in v):
+            raise ValueError("exponent shift v must be exact and lie in (1/2)Z")
+        v = tuple(map(norm_exp, v))
         if not (len(u) == len(v) == size):
             raise ValueError("vector lengths must match the matrix size")
         object.__setattr__(self, "u", u)

@@ -10,8 +10,8 @@ unique family satisfying both q-Pascal recurrences
 
 at every integer (n, m), with X(m, m) = 1 and X(n, 0) = 0 for n < 0.
 
-Every binomial, standard or extended, is built once as an int-keyed
-{q_exp: coeff} dict in the one table behind _ext_qdict.  qbinomial and
+Every binomial, standard or extended, is built as an int-keyed
+{q_exp: coeff} dict by _ext_qdict, a bounded lru_cache.  qbinomial and
 qbinomial_ext wrap those dicts in a BiLaurent on each call; the lattice and
 supernomial sums multiply them as packed ints (see laurent).  A packed
 binomial depends only on (n, m) and the byte width, so _packed_binomials
@@ -24,6 +24,7 @@ concurrent use (threads or forked workers) is safe.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
@@ -31,8 +32,10 @@ from .laurent import BiLaurent, _exact_int, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext"]
 
-_EXT_QDICT: dict[tuple[int, int], dict] = {}
-_PACKED: dict[int, "_PackedBinomials"] = {}
+# binomials kept: verify all builds 590, a coinv_char_* loop over r at one
+# full site up to 1,340 (p = 4, L = (13, 13, 13, 13))
+_BINOMIALS = 2048
+_WIDTHS = 16  # widths kept: verify all packs at 1-3 bytes, such a loop at one
 
 
 def qpochhammer(n: int) -> BiLaurent:
@@ -105,9 +108,11 @@ def _ext_min_qexp(n: int, m: int):
     return -((d * d + d) // 2) - d * (-n - 1)
 
 
+@lru_cache(maxsize=_BINOMIALS)
 def _ext_qdict(n: int, m: int) -> dict:
     """{q_exp: coeff} form of qbinomial_ext(n, m), with int exponents in
-    ascending order and no zero coefficient; the one binomial memo table.
+    ascending order and no zero coefficient; the one binomial memo, of the
+    last _BINOMIALS pairs (n, m).
 
     For n >= m >= 0 it is the product formula
 
@@ -121,27 +126,21 @@ def _ext_qdict(n: int, m: int) -> dict:
     under q -> 1/q, reading it backwards so the exponents stay ascending.
     Every other (n, m) gives the zero polynomial.
     """
-    key = (n, m)
-    d = _EXT_QDICT.get(key)
-    if d is None:
-        if n >= m >= 0:
-            k = min(m, n - m)
-            coeffs = [1]
-            for i in range(1, k + 1):
-                s = n - k + i
-                coeffs = list(map(sub, coeffs + [0] * s, [0] * s + coeffs))
-                coeffs = _divide_one_minus_q_power(coeffs, i)
-            d = dict(enumerate(coeffs))
-        elif m <= n < 0:
-            diff = n - m  # m <= n, so diff >= 0 and diff^2 + diff is even
-            shift = -((diff * diff + diff) // 2)
-            sign = -1 if diff % 2 else 1
-            base = _ext_qdict(-m - 1, -n - 1)
-            d = {shift - q: sign * c for q, c in reversed(base.items())}
-        else:
-            d = {}
-        _EXT_QDICT[key] = d
-    return d
+    if n >= m >= 0:
+        k = min(m, n - m)
+        coeffs = [1]
+        for i in range(1, k + 1):
+            s = n - k + i
+            coeffs = list(map(sub, coeffs + [0] * s, [0] * s + coeffs))
+            coeffs = _divide_one_minus_q_power(coeffs, i)
+        return dict(enumerate(coeffs))
+    if m <= n < 0:
+        diff = n - m  # m <= n, so diff >= 0 and diff^2 + diff is even
+        shift = -((diff * diff + diff) // 2)
+        sign = -1 if diff % 2 else 1
+        base = _ext_qdict(-m - 1, -n - 1)
+        return {shift - q: sign * c for q, c in reversed(base.items())}
+    return {}
 
 
 class _PackedBinomials(dict):
@@ -158,9 +157,4 @@ class _PackedBinomials(dict):
         return f
 
 
-def _packed_binomials(width: int) -> _PackedBinomials:
-    """The process-wide table of binomials packed at `width` bytes."""
-    table = _PACKED.get(width)
-    if table is None:
-        table = _PACKED[width] = _PackedBinomials(width)
-    return table
+_packed_binomials = lru_cache(maxsize=_WIDTHS)(_PackedBinomials)

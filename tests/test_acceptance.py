@@ -7,6 +7,8 @@ Each test prints one PASS/FAIL line (run with `pytest -s` to see them all).
 
 import time
 
+import pytest
+
 from qchar.characters import coinv_char_fermionic, rep_character
 from qchar.fusion import elementary_dims, fuse, fusion_dims
 from qchar.supernomial import SiteVector
@@ -156,3 +158,16 @@ def test_c10_elementary_dimensions():
         f"{checked} checks, {len(bad)} failures"
         + (f"; first {bad[0]}" if bad else ""),
     )
+
+
+@pytest.mark.parametrize("identity, options", [
+    ("tb", {"p_lo": 5, "p_hi": 6, "nmax": 4}),
+    ("char-eq", {"p_lo": 4, "p_hi": 6, "entry_max": 5}),
+    ("flow", {"p_lo": 4, "p_hi": 6, "entry_max": 5}),
+    ("dims", {"p_lo": 4, "p_hi": 6, "entry_max": 5}),
+])
+def test_identities_hold_at_ranks_5_and_6(identity, options):
+    # the default sweeps stop at p = 4 for tb and p = 3 for the rest, so only
+    # these reach level coordinates 6 and up (d >= 7, at p >= 5)
+    _run("ranks 5-6", identity, identity, 60.0,
+         min_cases=1000, options=options)

@@ -45,6 +45,16 @@ def test_character_value_normalization():
     assert a != CharacterValue(Fraction(1, 2), 0, BiLaurent.one())
 
 
+def test_character_value_shifts_must_be_exact():
+    # a float or a string would otherwise be read as a Fraction: 0.1 as
+    # 3602879701896397/36028797018963968
+    for shifts in ((0.1, 0), (0, 0.5), ("1/2", 0), (0, "1")):
+        with pytest.raises(TypeError):
+            CharacterValue(*shifts, BiLaurent.one())
+    value = CharacterValue(Fraction(4, 2), Fraction(-1, 3), BiLaurent.one())
+    assert type(value.q_shift) is int and value.z_shift == Fraction(-1, 3)
+
+
 def test_character_value_is_unhashable():
     with pytest.raises(TypeError, match="CharacterValue"):
         hash(CharacterValue(0, 0, BiLaurent.one()))
@@ -154,6 +164,19 @@ def test_routes_agree_at_p4_all_weights():
             sup = coinv_char_supernomial(r, site)
             assert ferm == sup
             assert sup.poly.at_q1_z1() == fused[r]
+
+
+@pytest.mark.parametrize("p, k", [(5, 4), (6, 3)])
+def test_routes_agree_at_ranks_5_and_6_with_large_entries(p, k):
+    # the sweeps keep every entry of L small; this full site has L = (k, ...,
+    # k), so its level block is deep (d = p - 1) and its levels are large
+    profile = [k * sum(min(i, j) for i in range(1, p + 1))
+               for j in range(1, p + 1)]
+    total = profile[-1]
+    site = SiteVector(p, total - total // 2, total // 2, tuple(profile[:-1]))
+    assert multiplicities(site) == (k,) * p
+    for r in range(p):
+        assert coinv_char_fermionic(r, site) == coinv_char_supernomial(r, site)
 
 
 @pytest.mark.parametrize("route, full_site_only", [
@@ -271,6 +294,7 @@ def test_memo_tables_stay_within_their_bounds():
     sites = [SiteVector(3, 4 * k, 3 * k, (3 * k, 5 * k)) for k in range(1, 4)]
     sites += [SiteVector(4, 5 * k, 5 * k, (4 * k, 7 * k, 9 * k))
               for k in (1, 2, 3)]
+    sites += [SiteVector(2, k, k, (k + 1,)) for k in range(1, 6)]
     for site in sites:
         for r in range(site.p):
             coinv_char_fermionic(r, site)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import types
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import qchar.cli
 import qchar.verify as verify
 from qchar.cli import main
 from qchar.laurent import BiLaurent
-from qchar.supernomial import SiteVector, multiplicities
+from qchar.supernomial import SiteVector, multiplicities, supernomial
 from qchar.verify import REPORT_SCHEMA
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -749,6 +750,29 @@ def test_readme_lists_every_memo_table():
         obj = importlib.import_module(f"qchar.{module}")
         for attr in path:
             obj = getattr(obj, attr)
+
+
+def test_every_memo_is_bounded(cold_memos):
+    # every functools cache has a finite bound, and the one module-level memo
+    # dict is the level table, which keeps the sums of one level key
+    dicts = set()
+    for name in _memo_tables_in_src():
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"qchar.{module}")
+        for attr in path:
+            obj = getattr(obj, attr)
+        if isinstance(obj, dict):
+            dicts.add(name)
+        else:
+            assert obj.cache_parameters()["maxsize"] is not None, name
+    assert dicts == {"fermionic._LEVELS"}
+    # a chain evicted by later vectors L is freed, and its values with it
+    module = importlib.import_module("qchar.supernomial")
+    supernomial((1, 1), 1)
+    first = weakref.ref(module._chain((1, 1)))
+    for k in range(2, 3 * module._CHAINS + 2):
+        supernomial((k, 1), 1)
+    assert first() is None
 
 
 def test_verify_tb_default_sweep_size(capsys):

@@ -97,6 +97,8 @@ def test_inputs_must_be_exact_integers():
         lambda: QuadraticData(((HALF,),), (1,)),
         lambda: QuadraticData(((2.7,),), (1,)),
         lambda: QuadraticData(((2,),), (0.5,)),
+        lambda: QuadraticData(((2,),), (1,), (0.5,)),
+        lambda: QuadraticData(((2,),), (1,), ("1/2",)),
         lambda: SiteVector(2, 1.5, 0, (1,)),
         lambda: SiteVector(2, 1, 0, (0.5,)),
         lambda: SiteVector(2, 1, 3 * HALF),

@@ -1,7 +1,5 @@
 """q-Pochhammer, Gaussian binomials, and the extended coefficients."""
 
-import functools
-import importlib
 import math
 import sys
 from fractions import Fraction
@@ -67,12 +65,10 @@ def test_qpochhammer_uses_constant_stack():
     (qpochhammer, (2,), (2.0,)),
     (bounded_partition_counts, (2, 3), (2.0, 3)),
 ])
-def test_integer_arguments_must_be_exact(monkeypatch, warm, fn, exact, inexact):
+def test_integer_arguments_must_be_exact(cold_memos, warm, fn, exact, inexact):
     # a float is refused whether or not the exact value is memoised, and
     # never read from a table keyed by the equal int; an integral Fraction
     # is an exact integer
-    monkeypatch.setattr(qbinom, "_EXT_QDICT", {})
-    bounded_partition_counts.cache_clear()
     if warm:
         fn(*exact)
     with pytest.raises(ValueError):
@@ -186,14 +182,9 @@ def test_ext_min_qexp_matches_polynomials():
                 assert bound == poly.q_min()
 
 
-def test_each_binomial_is_packed_once_per_width(monkeypatch):
+def test_each_binomial_is_packed_once_per_width(monkeypatch, cold_memos):
     # two supernomials and one lattice sum at the same byte width share
     # binomials; the process-wide table packs each (n, m) once
-    monkeypatch.setattr(qbinom, "_PACKED", {}, raising=False)
-    module = importlib.import_module("qchar.supernomial")
-    monkeypatch.setattr(module, "_SUP", {})
-    monkeypatch.setattr(module, "_chain", functools.lru_cache(
-        maxsize=module._CHAINS)(module._chain.__wrapped__))
     widths = []
     real = qbinom._pack
 
@@ -221,13 +212,15 @@ def test_each_binomial_is_packed_once_per_width(monkeypatch):
     assert set(widths) == {1}
     # the supernomial chain packs only the pairs under a nonzero node, so
     # count the packs against the table rather than the tree's pairs
-    assert widths and len(widths) == len(qbinom._PACKED[1])
+    assert widths and len(widths) == len(qbinom._packed_binomials(1))
 
 
-def test_packed_tables_unpack_to_the_binomials():
+def test_packed_tables_unpack_to_the_binomials(cold_memos):
     supernomial((70,), 35)  # a 9-byte width
     fermionic_sum(SiteVector(3, -2, 5, (2,)))  # reflected, signed factors
-    tables = qbinom._PACKED
+    # the tables built above: each width's table, where it packed something
+    tables = {width: table for width in range(1, qbinom._WIDTHS + 1)
+              if (table := qbinom._packed_binomials(width))}
     assert 9 in tables
     assert any(n < 0 for table in tables.values() for n, _ in table)
     for width, table in tables.items():

@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -130,9 +129,8 @@ def test_supernomial_rejects_negative_entry():
 @pytest.mark.parametrize("route", [supernomial, supernomial_at1],
                          ids=["supernomial", "supernomial_at1"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_supernomial_rejects_inexact_entries(monkeypatch, route, warm):
+def test_supernomial_rejects_inexact_entries(cold_memos, route, warm):
     # fresh tables, so "cold" does not depend on the tests run before
-    monkeypatch.setitem(route.__globals__, "_SUP", {})
     if warm:
         route((2, 1), 1)  # stores the key (2, 1), which (2.0, 1) equals
     for entries in ((2.0, 1), (2.9, 1), (Fraction(5, 2), 1)):
@@ -141,22 +139,12 @@ def test_supernomial_rejects_inexact_entries(monkeypatch, route, warm):
     assert route((Fraction(2), 1), 1) == route((2, 1), 1)
 
 
-def _fresh_tables(monkeypatch, route):
-    """Empty result tables and chain cache for the supernomial module."""
-    monkeypatch.setitem(route.__globals__, "_SUP", {})
-    chain = route.__globals__["_chain"]
-    monkeypatch.setitem(route.__globals__, "_chain",
-                        lru_cache(maxsize=chain.cache_parameters()["maxsize"])(
-                            chain.__wrapped__))
-
-
 @pytest.mark.parametrize("route", [supernomial, supernomial_at1],
                          ids=["supernomial", "supernomial_at1"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_supernomial_rejects_inexact_argument(monkeypatch, route, warm):
+def test_supernomial_rejects_inexact_argument(cold_memos, route, warm):
     # a float argument used to hit a stored int key (warm) or fail inside
     # range (cold); a proper fraction must not be rounded either
-    _fresh_tables(monkeypatch, route)
     if warm:
         route((2, 2), 1)  # stores the key 1, which 1.0 equals
     for a in (1.0, 1.5, Fraction(3, 2)):
@@ -165,11 +153,10 @@ def test_supernomial_rejects_inexact_argument(monkeypatch, route, warm):
     assert route((2, 2), Fraction(1)) == route((2, 2), 1)
 
 
-def test_supernomial_matches_brute_oracle(monkeypatch):
+def test_supernomial_matches_brute_oracle(cold_memos):
     # the memoised chain and the q = 1 tree against the definition, on
     # random L with entries <= 4 and length <= 4, at every argument from
     # below to above the support
-    _fresh_tables(monkeypatch, supernomial)
     rng = random.Random(18)
     vectors = [(4, 4, 4, 4), (0, 0, 3, 4), (4,)] + [
         tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
