@@ -276,9 +276,10 @@ def supernomial_lattice_side(site: SiteVector) -> BiLaurent:
     multiplicity vector of the site: the supernomial side of the lattice-sum
     identities.  ValueError when some entry of L is negative."""
     p, mult = site.p, _check_entries(multiplicities(site))
+    chain = _chain(mult)  # L is checked, and every arg is in 0..top
     # each a has its own z-degree, and p a^2 has the parity of p a
     return BiLaurent._from_halves({
         (a, p * a & 1): {e + (p * a * a >> 1): c
-                         for e, c in supernomial(mult, arg).qdict().items()}
+                         for e, c in chain.value(arg).qdict().items()}
         for a, arg in _residue_class(p, mult, site.minus)
     })

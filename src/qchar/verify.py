@@ -33,7 +33,6 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -597,8 +596,11 @@ class WorkerPool:
         if workers <= 1:
             return map(checker, cases)
         if workers > self._size:
-            # the pool forks all its workers at once, so never more than
-            # can run
+            # imported here, so that a run that never forks workers does
+            # not load multiprocessing; the pool forks all its workers at
+            # once, so never more than can run
+            from concurrent.futures import ProcessPoolExecutor
+
             self.close()
             self._pool = self._stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers)

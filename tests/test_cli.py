@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, reports, mutation."""
 
+import concurrent.futures
 import hashlib
 import importlib
 import inspect
@@ -160,6 +161,19 @@ def test_module_entry_point_runs_main_in_a_new_process(capsys):
     code, out, err = run("verify", "tb", "--p", "3..2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_start_up_and_serial_sweep_load_no_process_pool():
+    # the pool machinery loads only when a sweep forks workers
+    env = dict(os.environ, PYTHONPATH=str(Path(qchar.__file__).parents[1]))
+    code = ("import sys, qchar, qchar.cli\n"
+            "code = qchar.cli.main(['verify', 'pascal', '--jobs', '1'])\n"
+            "print(code, [m for m in sys.modules\n"
+            "             if m.startswith(('multiprocessing', 'concurrent.futures'))])")
+    done = subprocess.run([sys.executable, "-s", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_verify_single_p_runs_that_p(capsys):
@@ -543,7 +557,7 @@ def test_verify_pool_is_bounded_by_cpus_and_cases(monkeypatch):
         assert (report.cases, report.failures) == (ncases, [])
         return pools
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert pools_for(4, 3) == [(3, 1)]  # (max_workers, chunksize)
     assert pools_for(4, 100) == [(4, 3)]
     assert pools_for(1, 100) == []  # serial: no pool at all
@@ -600,7 +614,7 @@ def test_verify_all_opens_one_pool(capsys, monkeypatch, tmp_path):
             return map(fn, cases)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(SMALL_SWEEPS))
     code, _, _ = run_cli(capsys, "--jobs", "2", "verify", "all",
