@@ -61,7 +61,7 @@ from .laurent import (
     _unpack_qdict,
     _width,
 )
-from .qbinom import _ext_min_qexp, _packed_binomials
+from .qbinom import _ext_min_qexp, _packed
 from .supernomial import SiteVector, _shift, _weight, multiplicities
 
 __all__ = [
@@ -530,7 +530,7 @@ def _level_sums(leaves, x):
     return sums
 
 
-def _level_value(level, width, packed):
+def _level_value(level, width):
     """The level sum packed at `width` bytes, kept with its width.  The
     first packing reads the (exponent, pairs) list and then drops it;
     another width repacks the kept value digit by digit.  Every coefficient
@@ -544,7 +544,8 @@ def _level_value(level, width, packed):
     if pairs is not None:
         bits, low = 8 * width, level[0]
         value = sum(
-            math.prod([packed[pair] for pair in factors]) << bits * (e - low)
+            math.prod([_packed(t, b, width) for t, b in factors])
+            << bits * (e - low)
             for e, factors in pairs
         )
     else:
@@ -598,10 +599,11 @@ def lattice_sum(
     the sum over the summands of the product of their factors' absolute
     coefficient sums, which fixes the width; a group adds (sign total)
     times (level total), so the bound is the one a summand-by-summand sum
-    gives.  Each binomial is packed once per process and width, each sign
-    part once per call, and each level sum once per width, so a loop over
-    the weights r of a coinvariant character packs each level sum of its
-    site once, not once per r.
+    gives.  Each binomial is packed once per process and width, in the
+    memo keyed by (n, m, width) (qbinom._packed), each sign part once per
+    call, and each level sum once per width, so a loop over the weights r
+    of a coinvariant character packs each level sum of its site once, not
+    once per r.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
     zwin, exactly; each is None or an exact number in (1/2)Z (ValueError
@@ -645,12 +647,11 @@ def lattice_sum(
                 products.append((key, lo, sign, level))
     width = _width(bound)
     bits = 8 * width
-    packed = _packed_binomials(width)
     parts: dict = {}
     for key, lo, sign, level in products:
         if sign[1] is None:
-            sign[1] = math.prod([packed[pair] for pair in sign[0]])
-        value = sign[1] * _level_value(level, width, packed)
+            sign[1] = math.prod([_packed(t, b, width) for t, b in sign[0]])
+        value = sign[1] * _level_value(level, width)
         parts[key] = parts.get(key, 0) + (value << bits * (lo - base[key]))
     acc = {}
     for key, value in parts.items():

@@ -252,15 +252,19 @@ class BiLaurent:
         return sum(self._terms.values())
 
     def truncate_q(self, max_exp: Exp | None) -> "BiLaurent":
-        """Drop all terms with q-exponent above max_exp (None keeps everything)."""
+        """Drop all terms with q-exponent above max_exp (None keeps everything).
+        max_exp must be an int or a Fraction (TypeError otherwise)."""
         if max_exp is None:
             return self
+        max_exp = norm_exp(max_exp)
         return BiLaurent._raw({k: c for k, c in self._terms.items() if k[0] <= max_exp})
 
     def clip_z(self, window: int | None) -> "BiLaurent":
-        """Keep only terms with |z-exponent| <= window (None keeps everything)."""
+        """Keep only terms with |z-exponent| <= window (None keeps everything).
+        window must be an int or a Fraction (TypeError otherwise)."""
         if window is None:
             return self
+        window = norm_exp(window)
         return BiLaurent._raw(
             {k: c for k, c in self._terms.items() if -window <= k[1] <= window}
         )

@@ -14,9 +14,9 @@ Every binomial, standard or extended, is built as an int-keyed
 {q_exp: coeff} dict by _ext_qdict, a bounded lru_cache.  qbinomial and
 qbinomial_ext wrap those dicts in a BiLaurent on each call; the lattice and
 supernomial sums multiply them as packed ints (see laurent).  A packed
-binomial depends only on (n, m) and the byte width, so _packed_binomials
-keeps one process-wide table per width, and each binomial is packed once
-per process and width, not once per sum.
+binomial depends only on (n, m) and the byte width, so _packed keeps the
+last _BINOMIALS of them, keyed by (n, m, width), and each binomial is
+packed once per process and width, not once per sum.
 
 All functions are pure; the memo tables are written idempotently, so
 concurrent use (threads or forked workers) is safe.
@@ -32,10 +32,12 @@ from .laurent import BiLaurent, _exact_int, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext"]
 
-# binomials kept: verify all builds 590, a coinv_char_* loop over r at one
-# full site up to 1,340 (p = 4, L = (13, 13, 13, 13))
+# binomials kept, in each of the two memos.  verify all builds 590 and
+# packs 210; one cold coinv_char_* loop over r, both routes, at the full
+# site L = (k, ..., k) packs 985 distinct (n, m, width) at p = 5, k = 6,
+# 1,133 at p = 6, k = 6, 1,351 at p = 4, k = 11 and 1,868 at p = 4, k = 13,
+# the largest measured, so none of them evicts a binomial
 _BINOMIALS = 2048
-_WIDTHS = 16  # widths kept: verify all packs at 1-3 bytes, such a loop at one
 
 
 def qpochhammer(n: int) -> BiLaurent:
@@ -143,18 +145,9 @@ def _ext_qdict(n: int, m: int) -> dict:
     return {}
 
 
-class _PackedBinomials(dict):
-    """(n, m) -> qbinomial_ext(n, m) packed at one byte width (see laurent),
-    each packed on first use.  The caller picks a width at which every
-    coefficient of every binomial it looks up fits."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, key):
-        f = self[key] = _pack(_ext_qdict(*key).values(), self.width)
-        return f
-
-
-_packed_binomials = lru_cache(maxsize=_WIDTHS)(_PackedBinomials)
+@lru_cache(maxsize=_BINOMIALS)
+def _packed(n: int, m: int, width: int) -> int:
+    """qbinomial_ext(n, m) packed at `width` bytes (see laurent), of the
+    last _BINOMIALS keys (n, m, width).  The caller picks a width at which
+    every coefficient of the binomial fits."""
+    return _pack(_ext_qdict(n, m).values(), width)

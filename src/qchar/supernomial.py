@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import BiLaurent, _exact_int, _unpack_qdict, _width
-from .qbinom import _packed_binomials
+from .qbinom import _packed
 
 __all__ = [
     "SiteVector",
@@ -180,7 +180,8 @@ class _Chain:
     Every coefficient is nonnegative and at most the value at q = 1 summed
     over all a, prod_j (j+1)^(L_j), which fixes one byte width for every
     node of L.  The binomials come packed at that width from one
-    process-wide table (see qbinom), so each is packed once per width.
+    process-wide memo keyed by (n, m, width) (qbinom._packed), so each is
+    packed once per width.
     The memos are plain dicts of the instance, so an evicted chain is freed
     at once with its values, without a reference cycle.
     """
@@ -190,7 +191,6 @@ class _Chain:
         self.entries = entries
         bound = math.prod((j + 1) ** v for j, v in enumerate(entries, 1))
         self.width = _width(bound)
-        self.packed = _packed_binomials(self.width)
         self.suffix = [0] * (k + 2)  # suffix[i] = S_i
         for i in range(k, 0, -1):
             self.suffix[i] = self.suffix[i + 1] + entries[i - 1]
@@ -213,7 +213,7 @@ class _Chain:
     def total(self, pos: int, remaining: int, next_n: int) -> tuple[int, int]:
         if pos == 0:
             return 0, 1
-        bits, packed, memo = 8 * self.width, self.packed, self.memo
+        bits, width, memo = 8 * self.width, self.width, self.memo
         top = self.entries[pos - 1] + next_n
         step = bits * (self.suffix[pos + 1] - next_n)
         least = max(0, -((self.below[pos - 1] - remaining) // pos))
@@ -224,7 +224,7 @@ class _Chain:
             if child is None:
                 child = memo[key] = self.total(*key)
             low, value = child
-            acc += packed[top, n] * value << step * n + bits * low
+            acc += _packed(top, n, width) * value << step * n + bits * low
         low = ((acc & -acc).bit_length() - 1) // bits
         return low, acc >> bits * low
 

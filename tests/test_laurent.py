@@ -87,12 +87,18 @@ def test_truncate_q():
     assert p.truncate_q(2) == qz((0, 0, 1), (1, 0, 1))
     assert p.truncate_q(None) == p
     assert qz((Fraction(3, 2), 0, 1)).truncate_q(1) == BiLaurent.zero()
+    for cutoff in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            p.truncate_q(cutoff)
 
 
 def test_clip_z():
     p = qz((0, -3, 1), (0, 0, 1), (0, 2, 1))
     assert p.clip_z(2) == qz((0, 0, 1), (0, 2, 1))
     assert p.clip_z(None) == p
+    for window in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            p.clip_z(window)
 
 
 # -- cyclotomic projection ---------------------------------------------------------

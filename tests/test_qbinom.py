@@ -1,5 +1,6 @@
 """q-Pochhammer, Gaussian binomials, and the extended coefficients."""
 
+import importlib
 import math
 import sys
 from fractions import Fraction
@@ -158,7 +159,7 @@ def test_ext_pascal_recurrences_window():
 
 
 def test_ext_qdicts_are_canonical():
-    # int keys ascending without gaps (_PackedBinomials packs .values() as
+    # int keys ascending without gaps (_packed packs .values() as
     # the dense coefficient list) and no zero coefficient, for every n, m on
     # the window and their reflections
     for n in range(-20, 21):
@@ -211,20 +212,48 @@ def test_each_binomial_is_packed_once_per_width(monkeypatch, cold_memos):
     assert sum(map(len, per_call)) > len(distinct)
     assert set(widths) == {1}
     # the supernomial chain packs only the pairs under a nonzero node, so
-    # count the packs against the table rather than the tree's pairs
-    assert widths and len(widths) == len(qbinom._packed_binomials(1))
+    # count the packs against the memo rather than the tree's pairs
+    info = qbinom._packed.cache_info()
+    assert widths and len(widths) == info.currsize == info.misses
 
 
-def test_packed_tables_unpack_to_the_binomials(cold_memos):
+def test_packed_tables_unpack_to_the_binomials(monkeypatch, cold_memos):
+    # every packed binomial that the chain and the lattice sum read
+    read = {}
+    real = qbinom._packed
+
+    def recording(n, m, width):
+        value = read[n, m, width] = real(n, m, width)
+        return value
+
+    for module in ("supernomial", "fermionic"):
+        module = importlib.import_module(f"qchar.{module}")
+        monkeypatch.setattr(module, "_packed", recording)
     supernomial((70,), 35)  # a 9-byte width
     fermionic_sum(SiteVector(3, -2, 5, (2,)))  # reflected, signed factors
-    # the tables built above: each width's table, where it packed something
-    tables = {width: table for width in range(1, qbinom._WIDTHS + 1)
-              if (table := qbinom._packed_binomials(width))}
-    assert 9 in tables
-    assert any(n < 0 for table in tables.values() for n, _ in table)
-    for width, table in tables.items():
-        assert table.width == width
-        for (n, m), value in table.items():
-            d = qbinom._ext_qdict(n, m)
-            assert _unpack_qdict(value, width, min(d)) == d
+    assert any(width == 9 for _, _, width in read)
+    assert any(n < 0 for n, _, _ in read)
+    for (n, m, width), value in read.items():
+        d = qbinom._ext_qdict(n, m)
+        assert _unpack_qdict(value, width, min(d)) == d
+
+
+def test_packed_binomials_are_bounded_by_entries(cold_memos):
+    # more distinct (n, m, width) keys than the bound: the memo keeps
+    # exactly the bound, and what it keeps still reads back exactly
+    keys = [(n, m, width) for width in (6, 7, 8)
+            for n in range(-8, 41) for m in range(-8, n + 1)
+            if qbinom._ext_qdict(n, m)]
+    assert len(keys) > qbinom._BINOMIALS
+    for key in keys:
+        qbinom._packed(*key)
+    info = qbinom._packed.cache_info()
+    assert info.currsize == info.maxsize == qbinom._BINOMIALS
+    kept = keys[-qbinom._BINOMIALS:]
+    for n, m, width in kept:
+        d = qbinom._ext_qdict(n, m)
+        assert _unpack_qdict(qbinom._packed(n, m, width), width, min(d)) == d
+    # those reads were all hits; the oldest key was evicted
+    assert qbinom._packed.cache_info().misses == len(keys)
+    qbinom._packed(*keys[0])
+    assert qbinom._packed.cache_info().misses == len(keys) + 1

@@ -171,6 +171,24 @@ def test_supernomial_matches_brute_oracle(cold_memos):
             assert supernomial_at1(entries, a) == sum(want.values())
 
 
+def test_supernomial_is_symmetric_under_a_to_top_minus_a(cold_memos):
+    # supernomial(L, a) == supernomial(L, top - a) with top = sum_j j*L_j,
+    # both sides and their mirror checked against the definition, on every
+    # L with entries <= 2 and length <= 4 and every argument in 0..top
+    pairs = 0
+    for k in range(1, 5):
+        for entries in itertools.product(range(3), repeat=k):
+            top = sum((i + 1) * v for i, v in enumerate(entries))
+            for a in range(top + 1):
+                want = supernomial_brute(entries, a)
+                assert supernomial_brute(entries, top - a) == want, (entries, a)
+                for arg in (a, top - a):
+                    got = supernomial(entries, arg)
+                    assert {q: c for q, z, c in got.terms()} == want, (entries, arg)
+                pairs += 1
+    assert pairs == 1122
+
+
 def test_compositions_yield_once_per_nonzero_composition():
     # the tree of supernomial_at1 yields one product of binomials at q = 1
     # for each composition whose binomials are all nonzero, and no other
