@@ -11,11 +11,10 @@ comparing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import BiLaurent, _exact_int, bounded_partition_counts, norm_exp
+from .laurent import BiLaurent, _Record, _exact_int, bounded_partition_counts, norm_exp
 from .fermionic import QuadraticData, lattice_sum, support_box
 from .supernomial import (
     SiteVector,
@@ -35,21 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterValue:
+class CharacterValue(_Record):
     """A graded character z^z_shift q^q_shift * poly.
 
     Unhashable: equality normalizes the shifts, which no field hash respects.
     A shift that is not an int or a Fraction raises TypeError.
     """
 
-    q_shift: Fraction | int
-    z_shift: Fraction | int
-    poly: BiLaurent
+    __slots__ = ("q_shift", "z_shift", "poly")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q_shift", norm_exp(self.q_shift))
-        object.__setattr__(self, "z_shift", norm_exp(self.z_shift))
+    def __init__(self, q_shift, z_shift, poly: BiLaurent):
+        self._set(norm_exp(q_shift), norm_exp(z_shift), poly)
 
     def normalized(self) -> "CharacterValue":
         """Move the integer parts of both shifts into the polynomial."""

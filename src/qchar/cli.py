@@ -27,15 +27,8 @@ from .characters import (
     coinv_char_supernomial,
     rep_character,
 )
-from .verify import (
-    ALL_IDENTITIES,
-    REPORT_SCHEMA,
-    WorkerPool,
-    _REGISTRY,
-    run_identity,
-)
 
-__all__ = ["main", "REPORT_SCHEMA"]
+__all__ = ["main"]
 
 COMPUTE_OBJECTS = ("qbin", "qbin-plus", "qsup", "dvec", "char-rep", "char-coinv")
 
@@ -140,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="supernomial")
 
     ver = sub.add_parser("verify", help="sweep an identity", parents=[common])
-    ver.add_argument("identity", choices=ALL_IDENTITIES + ("all",))
+    ver.add_argument("identity", help="an identity key, or all")
     ver.add_argument("--p", help="p range, e.g. 2..4")
     ver.add_argument("--nmax", type=int, help="bound on N_+ + N_-")
     ver.add_argument("--margin", type=int,
@@ -198,7 +191,7 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _verify_options(args, names) -> dict:
+def _verify_options(args, taken) -> dict:
     opts = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -218,27 +211,39 @@ def _verify_options(args, names) -> dict:
         if value is not None:
             opts[key] = value
     if args.range_ is not None:
+        if args.range_ < 0:
+            raise ValueError(f"--range must be >= 0, got {args.range_}; "
+                             "a negative window would empty the sweep")
         opts["lo"], opts["hi"] = -args.range_, args.range_ + 3
         opts["awin"] = args.range_
     if args.seed is not None:
         opts["seed"] = args.seed
     # an option that no chosen identity takes would be dropped without a word
-    unknown = set(opts).difference(*(_REGISTRY[name][2] for name in names))
+    unknown = set(opts).difference(taken)
     if unknown:
         raise ValueError(f"verify {args.identity} takes no option "
                          f"{', '.join(map(repr, sorted(unknown)))}")
-    # a negative count or bound would quietly shrink the sweep
-    for key in ("count", "amax", "margin", "entry_max"):
+    # a negative count or bound would quietly shrink or empty the sweep
+    for key in ("count", "amax", "margin", "entry_max", "nmax", "bound",
+                "window", "awin"):
         if opts.get(key, 0) < 0:
-            raise ValueError(f"option {key!r} must be >= 0, got {opts[key]}")
+            raise ValueError(f"option {key!r} must be >= 0, got {opts[key]}; "
+                             "a negative value would shrink or empty the sweep")
     if opts.get("p_lo", 2) < 2:  # ta and tb would quietly skip p < 2
         raise ValueError(f"--p must start at 2 or above (p_lo = {opts['p_lo']})")
     return opts
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that only a verify command loads the sweeps
+    from .verify import ALL_IDENTITIES, WorkerPool, _REGISTRY, run_identity
+
+    keys = ALL_IDENTITIES + ("all",)
+    if args.identity not in keys:
+        raise ValueError(f"unknown identity {args.identity!r}; "
+                         f"choose from {', '.join(keys)}")
     names = ALL_IDENTITIES if args.identity == "all" else (args.identity,)
-    opts = _verify_options(args, names)
+    opts = _verify_options(args, set().union(*(_REGISTRY[n][2] for n in names)))
     reports = []
     status = 0
     # one pool serves every identity of the run

@@ -45,7 +45,6 @@ coinvariant character build each of them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -55,6 +54,7 @@ from .laurent import (
     BiLaurent,
     bounded_partition_counts,
     norm_exp,
+    _Record,
     _exact_int,
     _pack,
     _qdict_iadd,
@@ -120,8 +120,7 @@ def standard_flow_vector(size: int) -> tuple[int, ...]:
     return (1, -1) + (0,) * (size - 2)
 
 
-@dataclass(frozen=True)
-class QuadraticData:
+class QuadraticData(_Record):
     """Parameters of a lattice sum: symmetric integer matrix plus the
     z-grading vector u and the linear exponent shift v.
 
@@ -129,27 +128,23 @@ class QuadraticData:
     entry of v must lie in (1/2)Z (ValueError otherwise), so that each
     summand's exponent n A n / 2 + v.n does too."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    u: tuple[int, ...]
-    v: tuple = ()
+    __slots__ = ("matrix", "u", "v")
 
-    def __post_init__(self):
-        m = tuple(tuple(map(_exact_int, row)) for row in self.matrix)
+    def __init__(self, matrix: tuple, u: tuple, v: tuple = ()):
+        m = tuple(tuple(map(_exact_int, row)) for row in matrix)
         size = len(m)
         if any(len(row) != size for row in m):
             raise ValueError("matrix must be square")
         if any(m[i][j] != m[j][i] for i in range(size) for j in range(size)):
             raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "matrix", m)
-        u = tuple(map(_exact_int, self.u))
-        v = tuple(self.v) or (0,) * size
+        u = tuple(map(_exact_int, u))
+        v = tuple(v) or (0,) * size
         if any(not isinstance(x, (int, Fraction)) or x * 2 % 1 for x in v):
             raise ValueError("exponent shift v must be exact and lie in (1/2)Z")
         v = tuple(map(norm_exp, v))
         if not (len(u) == len(v) == size):
             raise ValueError("vector lengths must match the matrix size")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        self._set(m, u, v)
 
     @property
     def size(self) -> int:

@@ -12,9 +12,7 @@ test-suite plays against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .laurent import BiLaurent, _exact_int
+from .laurent import BiLaurent, _Record, _exact_int
 from .supernomial import SiteVector, _full_site, _residue_class, supernomial_at1
 
 __all__ = [
@@ -29,23 +27,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FusionVector:
+class FusionVector(_Record):
     """Element of the fusion ring of Z/pZ with nonnegative multiplicities.
     p and every multiplicity must be exact integers (ValueError otherwise)."""
 
-    p: int
-    dims: tuple[int, ...]
+    __slots__ = ("p", "dims")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _exact_int(self.p))
-        object.__setattr__(self, "dims", tuple(map(_exact_int, self.dims)))
-        if self.p < 1:
+    def __init__(self, p: int, dims: tuple[int, ...]):
+        p, dims = _exact_int(p), tuple(map(_exact_int, dims))
+        if p < 1:
             raise ValueError("p must be positive")
-        if len(self.dims) != self.p:
+        if len(dims) != p:
             raise ValueError("need exactly p multiplicities")
-        if any(x < 0 for x in self.dims):
+        if any(x < 0 for x in dims):
             raise ValueError("multiplicities must be nonnegative")
+        self._set(p, dims)
 
     @classmethod
     def unit(cls, p: int) -> "FusionVector":

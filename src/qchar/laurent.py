@@ -39,6 +39,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Mapping, Union
 
 Exp = Union[int, Fraction]
@@ -66,6 +67,44 @@ def _exact_int(x) -> int:
     if isinstance(x, (int, Fraction)) and x.denominator == 1:
         return int(x)
     raise ValueError(f"{x!r} is not an exact integer")
+
+
+class _Record:
+    """Base of the value records: equality, hash, repr and pickling over the
+    fields that a subclass names in __slots__, in that order.  A subclass's
+    __init__ validates its arguments and sets each field once, with _set;
+    assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)  # the field tuple
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 def _int(x, what: str) -> int:

@@ -13,11 +13,10 @@ coefficient of x^a in prod_j (1 + x + ... + x^j)^(L_j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import BiLaurent, _exact_int, _unpack_qdict, _width
+from .laurent import BiLaurent, _Record, _exact_int, _unpack_qdict, _width
 from .qbinom import _packed
 
 __all__ = [
@@ -29,26 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SiteVector:
+class SiteVector(_Record):
     """Cutoff vector (N_+, N_-; N_0, ..., N_{d-1}) for the rank-p lattice
     algebra, with d = len(levels) and 0 <= d <= 2p-3.  p and every component
     must be exact integers (ValueError otherwise)."""
 
-    p: int
-    plus: int
-    minus: int
-    levels: tuple[int, ...] = ()
+    __slots__ = ("p", "plus", "minus", "levels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _exact_int(self.p))
-        object.__setattr__(self, "plus", _exact_int(self.plus))
-        object.__setattr__(self, "minus", _exact_int(self.minus))
-        object.__setattr__(self, "levels", tuple(map(_exact_int, self.levels)))
-        if self.p < 2:
+    def __init__(self, p: int, plus: int, minus: int, levels: tuple = ()):
+        p, plus, minus = _exact_int(p), _exact_int(plus), _exact_int(minus)
+        levels = tuple(map(_exact_int, levels))
+        if p < 2:
             raise ValueError("p must be >= 2")
-        if len(self.levels) > 2 * self.p - 3:
+        if len(levels) > 2 * p - 3:
             raise ValueError("too many levels: need d <= 2p-3")
+        self._set(p, plus, minus, levels)
 
     @property
     def d(self) -> int:

@@ -34,12 +34,11 @@ import os
 import random
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .laurent import BiLaurent, _qdict_iadd, _qdict_mul
+from .laurent import BiLaurent, _Record, _qdict_iadd, _qdict_mul
 from .qbinom import _ext_qdict, qbinomial, qbinomial_ext
 from .supernomial import (
     SiteVector,
@@ -85,12 +84,16 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class IdentityReport:
-    identity: str
-    cases: int
-    failures: list = field(default_factory=list)
-    ms: int = 0
+class IdentityReport(_Record):
+    """The result of one sweep: a mutable record, so unhashable."""
+
+    __slots__ = ("identity", "cases", "failures", "ms")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, identity: str, cases: int, failures: list | None = None,
+                 ms: int = 0):
+        self._set(identity, cases, [] if failures is None else failures, ms)
 
     def to_json_obj(self) -> dict:
         return {

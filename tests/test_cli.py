@@ -164,16 +164,23 @@ def test_module_entry_point_runs_main_in_a_new_process(capsys):
 
 
 def test_start_up_and_serial_sweep_load_no_process_pool():
-    # the pool machinery loads only when a sweep forks workers
+    # the import loads no dataclasses and no sweeps, compute loads no sweeps,
+    # and the pool machinery loads only when a sweep forks workers
     env = dict(os.environ, PYTHONPATH=str(Path(qchar.__file__).parents[1]))
     code = ("import sys, qchar, qchar.cli\n"
-            "code = qchar.cli.main(['verify', 'pascal', '--jobs', '1'])\n"
-            "print(code, [m for m in sys.modules\n"
-            "             if m.startswith(('multiprocessing', 'concurrent.futures'))])")
+            "def loaded(*names):\n"
+            "    print([m for m in sys.modules if m.startswith(names)])\n"
+            "loaded('dataclasses', 'inspect', 'qchar.verify')\n"
+            "qchar.cli.main(['compute', 'qbin', '--n', '4', '--m', '2'])\n"
+            "loaded('qchar.verify')\n"
+            "print(qchar.cli.main(['verify', 'pascal', '--jobs', '1']))\n"
+            "loaded('qchar.verify', 'multiprocessing', 'concurrent.futures')")
     done = subprocess.run([sys.executable, "-s", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    lines = done.stdout.splitlines()  # compute and verify print between
+    assert (lines[0], lines[2], lines[-2:]) == ("[]", "[]",
+                                                ["0", "['qchar.verify']"])
 
 
 def test_verify_single_p_runs_that_p(capsys):
@@ -289,13 +296,17 @@ def test_verify_config_rejects_non_integer_values(capsys, tmp_path, value):
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
     "identity, key", [("rec", "count"), ("rec", "amax"), ("rec", "entry_max"),
-                      ("ta", "margin")]
+                      ("ta", "margin"), ("tb", "nmax"), ("pascal", "window"),
+                      ("rdc", "bound"), ("knuth", "awin"), ("all", "nmax"),
+                      ("all", "awin")]
 )
 def test_verify_rejects_negative_sweep_options(capsys, tmp_path, source,
                                                identity, key):
-    # each would otherwise run a smaller sweep and exit 0
+    # each would otherwise run a smaller sweep and exit 0, or an empty one and
+    # exit 2; all would first print the lines of the sweeps before it
     if source == "flag":
-        argv = ["--" + key.replace("_", "-"), "-1"]
+        flag = "range" if key == "awin" else key  # --range N sets awin = N
+        argv = ["--" + flag.replace("_", "-"), "-1"]
     else:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({key: -1}))
@@ -626,8 +637,11 @@ def test_verify_all_opens_one_pool(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_unknown_identity_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "verify", "nonsense")
-    assert code == 2
+    code, out, err = run_cli(capsys, "verify", "nonsense")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'nonsense'" in err
+    assert all(key in err for key in verify.ALL_IDENTITIES + ("all",))
 
 
 def test_verify_empty_sweep_exits_2(capsys):
@@ -717,7 +731,8 @@ def _memo_tables_in_src():
     """module.name of every module-level dict named _UPPER and every
     functools cache (module functions and class attributes) in qchar."""
     # constant configuration, filled at import and never written: the
-    # identity registry of verify (which cli imports) and cli's defaults
+    # identity registry of verify (which a verify command reads) and cli's
+    # defaults
     constants = {"_REGISTRY", "_GLOBAL_DEFAULTS"}
     found = set()
     for info in pkgutil.iter_modules(qchar.__path__):

@@ -1,7 +1,9 @@
 """Core Laurent arithmetic: ring laws, substitutions, series, serialization."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,12 @@ from qchar.laurent import (
     _width,
     bounded_partition_counts,
 )
+from qchar.characters import CharacterValue
+from qchar.fermionic import QuadraticData
+from qchar.fusion import FusionVector
 from qchar.qbinom import qpochhammer
+from qchar.supernomial import SiteVector
+from qchar.verify import IdentityReport
 
 from oracles import partitions_upto, poly_mul_brute
 
@@ -357,3 +364,55 @@ def test_qdict_products_cancel(terms):
     assert _packed_product([geometric, {0: 1, 1: -1}, {0: 1, 1: 1}]) == {
         0: 1, 1: 1, terms: -1, terms + 1: -1
     }
+
+
+# -- value records ------------------------------------------------------------
+
+# (class, fields in order, repr as a dataclass prints it, and a field given a
+# float component with the error that raises, or None: a report checks none)
+RECORDS = [
+    (SiteVector, {"p": 3, "plus": 1, "minus": 2, "levels": (4,)},
+     "SiteVector(p=3, plus=1, minus=2, levels=(4,))", ("plus", 1.0, ValueError)),
+    (QuadraticData, {"matrix": ((2, -1), (-1, 2)), "u": (1, -1), "v": (0, 0)},
+     "QuadraticData(matrix=((2, -1), (-1, 2)), u=(1, -1), v=(0, 0))",
+     ("u", (1.0, -1), ValueError)),
+    (FusionVector, {"p": 2, "dims": (1, 0)}, "FusionVector(p=2, dims=(1, 0))",
+     ("dims", (1.0, 0), ValueError)),
+    (CharacterValue, {"q_shift": 1, "z_shift": 0, "poly": BiLaurent.one()},
+     "CharacterValue(q_shift=1, z_shift=0, poly=BiLaurent(1))",
+     ("q_shift", 1.0, TypeError)),
+    (IdentityReport, {"identity": "tb", "cases": 3, "failures": [], "ms": 0},
+     "IdentityReport(identity='tb', cases=3, failures=[], ms=0)", None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, bad", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_keep_the_dataclass_contract(cls, fields, text, bad):
+    value = cls(**fields)
+    assert repr(value) == text
+    assert value == cls(*fields.values())
+    # equal only to a record of its own class, never to its field tuple
+    assert value != tuple(fields.values())
+    assert all(value != other(**f) for other, f, *_ in RECORDS if other is not cls)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+    if cls in (CharacterValue, IdentityReport):  # equal shifts differ; mutable
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(tuple(fields.values()))
+    if cls is IdentityReport:  # a sweep's result, mutable as before
+        value.ms = 5
+        assert value.ms == 5 and cls("tb", 3).failures is not cls("tb", 3).failures
+    else:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        name, component, error = bad
+        with pytest.raises(error):
+            cls(**dict(fields, **{name: component}))
+    if cls is QuadraticData:
+        assert QuadraticData.for_site(2, 0) == value
