@@ -236,7 +236,7 @@ def _verify_options(args, taken) -> dict:
 
 def _cmd_verify(args) -> int:
     # imported here, so that only a verify command loads the sweeps
-    from .verify import ALL_IDENTITIES, WorkerPool, _REGISTRY, run_identity
+    from .verify import ALL_IDENTITIES, WorkerPool, _REGISTRY, _sweep, run_identity
 
     keys = ALL_IDENTITIES + ("all",)
     if args.identity not in keys:
@@ -244,6 +244,8 @@ def _cmd_verify(args) -> int:
                          f"choose from {', '.join(keys)}")
     names = ALL_IDENTITIES if args.identity == "all" else (args.identity,)
     opts = _verify_options(args, set().union(*(_REGISTRY[n][2] for n in names)))
+    for name in names:  # an empty sweep fails before any line is printed
+        _sweep(name, opts)
     reports = []
     status = 0
     # one pool serves every identity of the run

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .laurent import BiLaurent, _Record, _exact_int, _unpack_qdict, _width
 from .qbinom import _packed
@@ -133,12 +134,13 @@ def supernomial(entries, a: int) -> BiLaurent:
     and a must be exact integers (ValueError otherwise).
 
     The value is read off the memoised chain of L (see _chain), which every
-    argument a shares and which keeps the value of each a.
+    argument a shares.
     """
     entries, a = _check_entries(entries), _exact_int(a)
     if not 0 <= a <= _top(entries):
         return BiLaurent.zero()
-    return _chain(entries).value(a)
+    return BiLaurent._raw(
+        {(e, 0): c for e, c in _chain(entries).value(a).items()})
 
 
 def supernomial_at1(entries, a: int) -> int:
@@ -161,10 +163,11 @@ class _Chain:
     digit, the least exponent of the sum, so no stored int holds low zero
     digits.  supernomial(L, a) is total(k, a, 0), unpacked by value(a).
 
-    The sum under a node does not depend on the path to it, so every child
-    node, at positions 0..k-1, is memoised and summed once for every a.  A
-    position-k node serves one a, whose value is kept in `values`, so it is
-    not stored.  Every step exponent n (S_{i+1} - n_{i+1}) is >= 0, since
+    The sum under a node does not depend on the path to it, so every node is
+    memoised and summed once: a child node, at positions 0..k-1, for every
+    a, and a position-k node (k, a, 0) for every read of a.  The packed node
+    is the one form of a value the chain keeps; value(a) unpacks it on each
+    read.  Every step exponent n (S_{i+1} - n_{i+1}) is >= 0, since
     n_{i+1} <= S_{i+1}.  n_pos runs up to L_pos + next_n, past which its
     binomial vanishes, and from what the positions below cannot take up:
     they take at most W_{pos-1} + (pos-1) n_pos with W_i = sum_{j<=i}
@@ -176,40 +179,62 @@ class _Chain:
     node of L.  The binomials come packed at that width from one
     process-wide memo keyed by (n, m, width) (qbinom._packed), so each is
     packed once per width.
-    The memos are plain dicts of the instance, so an evicted chain is freed
-    at once with its values, without a reference cycle.
+    The memo is a plain dict of the instance, so an evicted chain is freed
+    at once with all its nodes, without a reference cycle.
+
+    The mirror.  supernomial(L, a) = supernomial(L, t - a) with t = W_k,
+    so value(a) reads the node of min(a, t - a): a top node (k, a, 0)
+    reaches only children with remaining <= a.  Proof, writing S(L, a) for
+    supernomial(L, a) at every integer a (zero outside 0..t), e_i for the
+    unit vectors and e_0 = 0.  Summing over n_k last,
+    S(L, a) = sum_n qbin(L_k, n) q^((L_k - n)(a - n)) S(L', a - n) with
+    L' = (L_1, ..., L_{k-1} + n), and q-Pascal, qbin(N + 1, n) =
+    q^n qbin(N, n) + qbin(N, n - 1), turns this into rec's recurrence
+      (R) S(L + e_k, a) = q^a S(L, a) + S(L + e_{k-1}, a - 1).
+    Its mirror image
+      (M) S(L + e_k, a) = S(L + e_{k-1}, a) + q^(t+k-a) S(L, a - k)
+    holds by induction on k and then L_k.  At k = 1 it is the other
+    q-Pascal rule, qbin(N + 1, n) = qbin(N, n) + q^(N+1-n) qbin(N, n - 1).
+    Given (R), (M) for L is equivalent to
+      (D) S(L + e_{k-1}, a) - S(L + e_{k-1}, a - 1)
+          = q^a S(L, a) - q^(t+k-a) S(L, a - k).
+    A trailing zero entry does not change S, so at L_k = 0, (D) is (R) at a
+    minus (M) at a - 1 for (L_1, ..., L_{k-1}).  For L = P + e_k, write the
+    left side of (D) with (M) at a and (R) at a - 1 for A = P + e_{k-1},
+    then with (D) for A at a and at a - 1; write its right side with (M) at
+    a and (R) at a - k for P.  Both give
+    q^a S(A, a) - q^(t+k-a) S(A, a - k - 1).  The mirror then follows by
+    induction on t and k: at k = 1 it is qbin(N, a) = qbin(N, N - a), a
+    trailing zero entry changes neither S nor t, and for L = P + e_k, (R)
+    for P at t - a, the mirror for P and for P + e_{k-1} (of tops t - k
+    and t - 1) and (M) for P give S(L, t - a) = S(L, a).
     """
 
     def __init__(self, entries: tuple[int, ...]):
-        k = len(entries)
         self.entries = entries
         bound = math.prod((j + 1) ** v for j, v in enumerate(entries, 1))
         self.width = _width(bound)
-        self.suffix = [0] * (k + 2)  # suffix[i] = S_i
-        for i in range(k, 0, -1):
-            self.suffix[i] = self.suffix[i + 1] + entries[i - 1]
-        self.below = [0] * (k + 1)  # below[i] = W_i
-        for i in range(1, k + 1):
-            self.below[i] = self.below[i - 1] + i * entries[i - 1]
+        # suffix[i] = S_{i+1} for i in 0..k, and below[i] = W_i
+        self.suffix = [*accumulate(reversed(entries), initial=0)][::-1]
+        self.below = [0, *accumulate(j * v for j, v in enumerate(entries, 1))]
         self.memo: dict = {}
-        self.values: dict[int, BiLaurent] = {}
 
-    def value(self, a: int) -> BiLaurent:
-        """supernomial(L, a) for 0 <= a <= sum_j j*L_j, unpacked once."""
-        poly = self.values.get(a)
-        if poly is None:
-            low, packed = self.total(len(self.entries), a, 0)
-            terms = _unpack_qdict(packed, self.width, low)  # canonical ints
-            poly = self.values[a] = BiLaurent._raw(
-                {(e, 0): c for e, c in terms.items()})
-        return poly
+    def value(self, a: int) -> dict:
+        """The {q_exp: coefficient} dict of supernomial(L, a) for
+        0 <= a <= sum_j j*L_j, read at the mirror min(a, top - a) and
+        unpacked from its node on each read."""
+        key = (len(self.entries), min(a, self.below[-1] - a), 0)
+        if key not in self.memo:
+            self.memo[key] = self.total(*key)
+        low, packed = self.memo[key]
+        return _unpack_qdict(packed, self.width, low)  # canonical ints
 
     def total(self, pos: int, remaining: int, next_n: int) -> tuple[int, int]:
         if pos == 0:
             return 0, 1
         bits, width, memo = 8 * self.width, self.width, self.memo
         top = self.entries[pos - 1] + next_n
-        step = bits * (self.suffix[pos + 1] - next_n)
+        step = bits * (self.suffix[pos] - next_n)
         least = max(0, -((self.below[pos - 1] - remaining) // pos))
         acc = 0
         for n in range(least, min(top, remaining) + 1):
@@ -274,6 +299,6 @@ def supernomial_lattice_side(site: SiteVector) -> BiLaurent:
     # each a has its own z-degree, and p a^2 has the parity of p a
     return BiLaurent._from_halves({
         (a, p * a & 1): {e + (p * a * a >> 1): c
-                         for e, c in chain.value(arg).qdict().items()}
+                         for e, c in chain.value(arg).items()}
         for a, arg in _residue_class(p, mult, site.minus)
     })

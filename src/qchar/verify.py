@@ -613,12 +613,9 @@ class WorkerPool:
         return self._pool.map(checker, cases, chunksize=chunk)
 
 
-def run_identity(
-    identity: str, options=None, pool: WorkerPool | None = None
-) -> IdentityReport:
-    """Run one identity sweep on the workers of `pool`, or serially without
-    one.  Failures keep case order, so output is reproducible for any worker
-    count."""
+def _sweep(identity: str, options=None) -> tuple:
+    """(checker, cases) of one identity sweep, with options merged over its
+    defaults.  ValueError for an unknown identity or an empty sweep."""
     if identity not in _REGISTRY:
         raise ValueError(f"unknown identity {identity!r}")
     gen, checker, defaults = _REGISTRY[identity]
@@ -629,6 +626,16 @@ def run_identity(
     cases = gen(opts)
     if not cases:
         raise ValueError(f"sweep for {identity!r} is empty; widen the ranges")
+    return checker, cases
+
+
+def run_identity(
+    identity: str, options=None, pool: WorkerPool | None = None
+) -> IdentityReport:
+    """Run one identity sweep on the workers of `pool`, or serially without
+    one.  Failures keep case order, so output is reproducible for any worker
+    count."""
+    checker, cases = _sweep(identity, options)
     start = time.perf_counter()
     results = map(checker, cases) if pool is None else pool.map(checker, cases)
     failures = [r for r in results if r is not None]

@@ -1,9 +1,11 @@
 """CLI behavior: outputs, exit codes, determinism, reports, mutation."""
 
 import concurrent.futures
+import contextlib
 import hashlib
 import importlib
 import inspect
+import io
 import itertools
 import json
 import os
@@ -11,6 +13,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import types
 import weakref
 from fractions import Fraction
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qchar.characters as characters
 import qchar.cli
@@ -132,6 +136,11 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     # malformed option values, each named on one stderr line
     config = tmp_path / "cfg.json"
     config.write_text("[1, 2]")  # a JSON list, not an object
+    # ranges that empty a sweep after others, checked before any output
+    empty = []
+    for i, ranges in enumerate([{"p_hi": 1}, {"lo": 5, "hi": 2}, {"hi": -1}]):
+        empty.append(tmp_path / f"empty{i}.json")
+        empty[-1].write_text(json.dumps(ranges))
     for argv, message in [
         (("compute", "dvec", "--p", "2", "--pairs", "1"),
          "pair '1' must be two integers"),
@@ -140,6 +149,12 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         (("verify", "tb", "--p", "4..2"), "empty range '4..2'"),
         (("verify", "tb", "--config", str(config)),
          "config file must hold a JSON object"),
+        (("verify", "all", "--config", str(empty[0])),
+         "sweep for 'ta' is empty"),
+        (("verify", "all", "--config", str(empty[1])),
+         "sweep for 'knuth' is empty"),
+        (("verify", "all", "--config", str(empty[2])),
+         "sweep for 'knuth' is empty"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -659,6 +674,72 @@ def test_verify_pascal_negative_window_exits_2(capsys, window):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_ARG = st.integers(-2, 5)
+_MOSTLY = st.sampled_from((True, True, True, True, False))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, config): a compute or verify command line with small values,
+    every option written as --flag=value, and for verify a --config dict
+    that sets each option the chosen identities take (so every sweep stays
+    small), now and then to -1 or with a key no identity takes."""
+    if draw(st.booleans()):
+        argv = ["compute", draw(st.sampled_from(qchar.cli.COMPUTE_OBJECTS))]
+        for flag in ("n", "m", "a", "p", "r", "qmax", "zwin"):
+            if draw(_MOSTLY):
+                argv.append(f"--{flag}={draw(_ARG)}")
+        ints = st.lists(st.integers(-1, 3), max_size=4).map(
+            lambda v: ",".join(map(str, v)))
+        for flag, text in (("L", ints), ("site", st.tuples(ints, ints)),
+                           ("pairs", st.tuples(ints, ints))):
+            if draw(_MOSTLY):
+                value = draw(text)
+                argv.append(f"--{flag}={value if flag == 'L' else ';'.join(value)}")
+        route = draw(st.sampled_from(("supernomial", "fermionic")))
+        return argv + ["--route", route], None
+    identity = draw(st.sampled_from(verify.ALL_IDENTITIES + ("all",)))
+    names = verify.ALL_IDENTITIES if identity == "all" else (identity,)
+    keys = sorted(set().union(*(verify._REGISTRY[n][2] for n in names)))
+    value = st.sampled_from((1, 2, 0, 3, 2, 1, 2, -1))
+    p_end = st.sampled_from((2, 3, 2, 1))
+    config = draw(st.fixed_dictionaries(
+        {key: p_end if key.startswith("p_") else value for key in keys}))
+    if not draw(_MOSTLY):
+        config["typo"] = 0
+    argv = ["verify", identity]
+    if not draw(_MOSTLY):
+        argv.append(f"--p={draw(st.integers(1, 3))}..{draw(st.integers(1, 3))}")
+    if not draw(_MOSTLY):
+        argv.append(f"--nmax={draw(_ARG)}")
+    return argv, config
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_cli_runs())
+@example((["verify", "all"], {"p_hi": 1}))
+@example((["verify", "all"], {"lo": 5, "hi": 2}))
+@example((["verify", "all"], {"hi": -1}))
+def test_cli_exits_0_or_2_and_an_error_prints_one_line_and_no_output(run):
+    # 1 means a counterexample and 3 an internal error; neither may come
+    # from these inputs, and an exit 2 prints no result line before it
+    argv, config = run
+    argv = argv + ["--jobs", "1"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (argv, config, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", (argv, config)
+        assert err.getvalue().startswith("error: "), (argv, config)
+        assert err.getvalue().count("\n") == 1, (argv, config)
+
+
 def _site_cases_checking_every_candidate(p_lo, p_hi, nmax, margin, max_d=None):
     for p in range(p_lo, p_hi + 1):
         d_hi = 2 * p - 3 if max_d is None else min(max_d, 2 * p - 3)
@@ -795,7 +876,7 @@ def test_every_memo_is_bounded(cold_memos):
         else:
             assert obj.cache_parameters()["maxsize"] is not None, name
     assert dicts == {"fermionic._LEVELS"}
-    # a chain evicted by later vectors L is freed, and its values with it
+    # a chain evicted by later vectors L is freed, and every node with it
     module = importlib.import_module("qchar.supernomial")
     supernomial((1, 1), 1)
     first = weakref.ref(module._chain((1, 1)))

@@ -1,5 +1,6 @@
 """Supernomial coefficients, the second-difference matrix, site vectors."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -187,6 +188,23 @@ def test_supernomial_is_symmetric_under_a_to_top_minus_a(cold_memos):
                     assert {q: c for q, z, c in got.terms()} == want, (entries, arg)
                 pairs += 1
     assert pairs == 1122
+
+
+def test_chain_keeps_each_value_as_one_packed_node(cold_memos):
+    # the chain of L holds every value only as a (low, int) node of its one
+    # memo, and reads it the same way each time
+    module = importlib.import_module("qchar.supernomial")
+    entries = (2, 1, 2)
+    top = sum((i + 1) * v for i, v in enumerate(entries))
+    first = [supernomial(entries, a) for a in range(top + 1)]
+    chain = module._chain(entries)
+    assert not hasattr(chain, "values")
+    assert chain.memo
+    for node in chain.memo.values():
+        assert type(node) is tuple and len(node) == 2
+        assert all(type(part) is int for part in node)
+    assert [supernomial(entries, a) for a in range(top + 1)] == first
+    assert chain.value(3) == chain.value(3) == first[3].qdict()
 
 
 def test_compositions_yield_once_per_nonzero_composition():
