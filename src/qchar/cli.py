@@ -236,6 +236,8 @@ def _verify_options(args, taken) -> dict:
 
 def _cmd_verify(args) -> int:
     # imported here, so that only a verify command loads the sweeps
+    from contextlib import nullcontext
+
     from .verify import ALL_IDENTITIES, WorkerPool, _REGISTRY, _sweep, run_identity
 
     keys = ALL_IDENTITIES + ("all",)
@@ -246,12 +248,15 @@ def _cmd_verify(args) -> int:
     opts = _verify_options(args, set().union(*(_REGISTRY[n][2] for n in names)))
     for name in names:  # an empty sweep fails before any line is printed
         _sweep(name, opts)
+    # so does a report path that cannot be written: the file opens first
+    report_file = (open(args.report, "w", encoding="utf-8") if args.report
+                   else nullcontext())
     reports = []
     status = 0
-    # one pool serves every identity of the run
-    with WorkerPool(max(1, args.jobs)) as pool:
-        for name in names:
-            report = run_identity(name, opts, pool=pool)
+    # one pool serves every identity of the run, one sweep ahead
+    with report_file as handle, WorkerPool(max(1, args.jobs)) as pool:
+        for name, ahead in zip(names, names[1:] + (None,)):
+            report = run_identity(name, opts, pool=pool, ahead=ahead)
             reports.append(report)
             print(f"{name}: {report.cases} cases, {len(report.failures)} failures")
             if report.failures:
@@ -260,13 +265,12 @@ def _cmd_verify(args) -> int:
                 print(f"counterexample {json.dumps(first['params'])}")
                 print(f"  lhs: {json.dumps(first['lhs'])}")
                 print(f"  rhs: {json.dumps(first['rhs'])}")
-    if args.report:
-        payload = (
-            reports[0].to_json_obj()
-            if len(reports) == 1
-            else [r.to_json_obj() for r in reports]
-        )
-        with open(args.report, "w", encoding="utf-8") as handle:
+        if handle is not None:
+            payload = (
+                reports[0].to_json_obj()
+                if len(reports) == 1
+                else [r.to_json_obj() for r in reports]
+            )
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return status

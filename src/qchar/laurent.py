@@ -29,7 +29,7 @@ whatever its sign.  Lattice exponents lie in (1/2)Z and are carried doubled,
 as an int e2, with one part per (z-degree, e2 & 1), which
 `BiLaurent._from_halves` joins.  Every product of the engine is packed;
 `_qdict_mul` is the schoolbook product of two dicts for the small products
-of `verify`'s checks.
+of `verify`'s knuth check.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ from .laurent import BiLaurent, _exact_int, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext"]
 
-# binomials kept, in each of the two memos.  verify all builds 590 and
-# packs 210; one cold coinv_char_* loop over r, both routes, at the full
+# binomials kept, in each of the two memos.  verify all builds 499 and
+# packs 301; one cold coinv_char_* loop over r, both routes, at the full
 # site L = (k, ..., k) packs 985 distinct (n, m, width) at p = 5, k = 6,
 # 1,133 at p = 6, k = 6, 1,351 at p = 4, k = 11 and 1,868 at p = 4, k = 13,
 # the largest measured, so none of them evicts a binomial

@@ -30,6 +30,7 @@ Identity keys:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
@@ -38,8 +39,15 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .laurent import BiLaurent, _Record, _qdict_iadd, _qdict_mul
-from .qbinom import _ext_qdict, qbinomial, qbinomial_ext
+from .laurent import (
+    BiLaurent,
+    _Record,
+    _qdict_iadd,
+    _qdict_mul,
+    _unpack_qdict,
+    _width,
+)
+from .qbinom import _ext_min_qexp, _ext_qdict, _packed, qbinomial, qbinomial_ext
 from .supernomial import (
     SiteVector,
     _top,
@@ -47,7 +55,7 @@ from .supernomial import (
     supernomial,
     supernomial_lattice_side,
 )
-from .fermionic import QuadraticData, fermionic_sum, lattice_sum
+from .fermionic import QuadraticData, _factor_data, fermionic_sum, lattice_sum
 from .characters import (
     coinv_char_fermionic,
     coinv_char_supernomial,
@@ -286,30 +294,74 @@ def _cases_rdc(opts):
     return [(N, M, n, m) for N in r for M in r for n in r for m in r]
 
 
-def _check_rdc(case):
-    big_n, big_m, n, m = case
-    lhs = _qdict_mul(_ext_qdict(big_n, n), _ext_qdict(big_m, m))
+def _rdc_sides(big_n, big_m, n, m):
+    """(width, least exponent, lhs, rhs): the two sides of rdc at
+    (N, M, n, m) as packed ints at `width` bytes, each from the least
+    exponent up (see _check_rdc)."""
+    products = []  # (side, q-shift, tops, bottoms) with no zero factor
+    if not (_ext_min_qexp(big_n, n) is None or _ext_min_qexp(big_m, m) is None):
+        products.append((0, 0, (big_n, big_m), (n, m)))
     s = big_n + big_m - n - m
-    rhs: dict = {}
     if s >= 0:
-        # one of the first two factors has nonnegative top; its vanishing
-        # brackets the summation index
-        if big_n - m >= 0:
-            lo, hi = n + m - big_n, n
-        else:
-            lo, hi = n + m - big_m, m
-        for l in range(lo, hi + 1):
-            t = _qdict_mul(_ext_qdict(big_n - m, n - l), _ext_qdict(big_m - n, m - l))
-            if not t:
-                continue
-            t = _qdict_mul(t, _ext_qdict(big_n + big_m - n - m + l, l))
-            if not t:
-                continue
-            _qdict_iadd(rhs, t, (n - l) * (m - l))
-    if lhs == rhs:  # the sweep's hot path: skip wrapping the raw dicts
+        # X(t, b) != 0 exactly when 0 <= b <= t or b <= t < 0.  For the
+        # first two factors that puts l in [lo, hi]: s >= 0 makes N - m or
+        # M - n nonnegative, and that factor caps l at n or m.  The third
+        # factor X(s + l, l) leaves out -s <= l < 0
+        lo = n + m - min(big_n, big_m)
+        hi = min(n if big_n >= m else m, m if big_m >= n else n)
+        products.extend(
+            (1, (n - l) * (m - l), (big_n - m, big_m - n, s + l),
+             (n - l, m - l, l))
+            for l in itertools.chain(range(lo, min(hi, -s - 1) + 1),
+                                     range(max(lo, 0), hi + 1))
+        )
+    bound = 0
+    lows = []
+    for _, shift, tops, bottoms in products:
+        _, low, norm = _factor_data(tops, bottoms, 2 * shift)
+        bound += norm
+        lows.append(low)
+    width = _width(bound)
+    bits = 8 * width
+    base = min(lows, default=0)
+    sides = [0, 0]
+    for (side, _, tops, bottoms), low in zip(products, lows):
+        sides[side] += math.prod(
+            [_packed(t, b, width) for t, b in zip(tops, bottoms)]
+        ) << bits * (low - base)
+    return width, base, *sides
+
+
+def _check_rdc(case):
+    """X(N,n) X(M,m) = sum_l q^((n-l)(m-l)) X(N-m,n-l) X(M-n,m-l)
+    X(N+M-n-m+l,l), X = qbinomial_ext, with both sides compared as single
+    packed ints (Kronecker substitution, see laurent).
+
+    The width.  Write |f|_1 for the sum of the absolute coefficients of a
+    polynomial f.  Each coefficient of a product fg is a sum of products of
+    one coefficient of f and one of g, so every coefficient of fg is at
+    most |f|_1 |g|_1 in absolute value, and |fg|_1 <= |f|_1 |g|_1; a power
+    of q moves the coefficients and adds none.  For X(t, b) != 0, |X|_1 is
+    comb(t, b), or comb(-b-1, t-b) when t < 0, since the reflection only
+    reverses the coefficients of a Gaussian binomial, which are positive,
+    and gives them one sign (fermionic._factor_data).  So every coefficient
+    of lhs - rhs, and of each side alone, is at most B = the sum over the
+    products of both sides of the product of their factors' |X|_1, and the
+    width w = _width(B) has B < 2^(8w-1).  Packing evaluates at q = 2^(8w)
+    and is a ring homomorphism, so the packed difference is lhs - rhs at
+    2^(8w).  A nonzero polynomial whose coefficients all lie below
+    2^(8w-1) in absolute value is nonzero there: its top term outweighs the
+    sum of all the others.  So the packed sides are equal exactly when the
+    polynomials are, and each side unpacks exactly into the failure
+    payload.
+    """
+    width, base, lhs, rhs = _rdc_sides(*case)
+    if lhs == rhs:
         return None
+    big_n, big_m, n, m = case
     return _compare({"N": big_n, "M": big_m, "n": n, "m": m},
-                    BiLaurent.from_qdict(lhs), BiLaurent.from_qdict(rhs))
+                    *(BiLaurent.from_qdict(_unpack_qdict(side, width, base))
+                      for side in (lhs, rhs)))
 
 
 # -- knuth -----------------------------------------------------------------------
@@ -567,12 +619,25 @@ ALL_IDENTITIES = tuple(_REGISTRY)
 
 
 class WorkerPool:
-    """Worker processes shared by the sweeps of one run.
+    """Worker processes shared by the sweeps of one run, and the sweeps
+    submitted to them and not yet read.
 
     The pool opens on the first sweep that can use more than one worker, with
     as many as that sweep can use: never more than jobs, the CPUs or its
-    cases.  It reopens larger only for a later sweep that can use more.  Its
-    workers keep their memo tables from one sweep to the next.
+    cases.  It reopens larger only for a later sweep that can use more.
+    Closing the old pool first finishes the work submitted to it, so a sweep
+    that the pool still holds keeps every result.  The workers keep their
+    memo tables from one sweep to the next.
+
+    A sweep is submitted whole, and the pool holds it until run_identity
+    reads its results, in case order.  run_identity can submit the next
+    sweep before it reads one, so the workers go from one identity to the
+    next without waiting at a barrier; the pool then holds two sweeps, never
+    more.  With one worker nothing runs ahead: each check runs as its result
+    is read.  A sweep submitted while the pool holds another with the same
+    checker submits only the cases that one lacks and reads the results of
+    the shared ones from it, so within one run a case is checked once.  That
+    state lives only as long as the two sweeps are held.
     """
 
     def __init__(self, jobs: int):
@@ -580,11 +645,16 @@ class WorkerPool:
         self._pool = None
         self._size = 0
         self._stack = ExitStack()
+        # (identity, options) -> (checker, cases, results of the cases
+        # submitted, shared, failures by case); see submit
+        self._held: dict = {}
+        self._mark = time.perf_counter()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self._held.clear()
         self.close()
         return False
 
@@ -612,6 +682,56 @@ class WorkerPool:
         chunk = max(1, len(cases) // (workers * 8))
         return self._pool.map(checker, cases, chunksize=chunk)
 
+    def submit(self, identity: str, options=None) -> None:
+        """Start the sweep of one identity, unless the pool holds it.  If the
+        pool holds a sweep with the same checker, only the cases that one
+        lacks go to the workers, and shared = (its cases, its failures by
+        case) gives the results of the others."""
+        key = _held_key(identity, options)
+        if key in self._held:
+            return
+        checker, cases = _sweep(identity, options)
+        fresh, shared = cases, None
+        for other, other_cases, _, _, other_failed in self._held.values():
+            if other is checker:
+                seen = set(other_cases)
+                fresh = [case for case in cases if case not in seen]
+                shared = seen, other_failed
+                break
+        self._held[key] = (checker, cases, iter(self.map(checker, fresh)),
+                           shared, {})
+
+    def results(self, identity: str, options=None) -> tuple:
+        """(cases, their results in case order) of a submitted sweep, which
+        the pool then no longer holds."""
+        _, cases, fresh, shared, failed = self._held.pop(
+            _held_key(identity, options))
+        return cases, _merged(cases, fresh, shared, failed)
+
+    def lap(self) -> int:
+        """Whole milliseconds since the previous lap, or since the pool was
+        made."""
+        now = time.perf_counter()
+        ms, self._mark = int((now - self._mark) * 1000), now
+        return ms
+
+
+def _held_key(identity: str, options) -> tuple:
+    return identity, tuple(sorted((options or {}).items()))
+
+
+def _merged(cases, fresh, shared, failed):
+    """The results of a sweep in case order: from `fresh` for the cases it
+    submitted, and for the others from `shared`, the (cases, failures by
+    case) of the sweep with the same checker.  Each failure is also
+    recorded by case in `failed`, for a later sweep with this checker."""
+    seen, earlier = shared or ((), None)
+    for case in cases:
+        result = earlier.get(case) if case in seen else next(fresh)
+        if result is not None:
+            failed[case] = result
+        yield result
+
 
 def _sweep(identity: str, options=None) -> tuple:
     """(checker, cases) of one identity sweep, with options merged over its
@@ -629,15 +749,20 @@ def _sweep(identity: str, options=None) -> tuple:
     return checker, cases
 
 
-def run_identity(
-    identity: str, options=None, pool: WorkerPool | None = None
-) -> IdentityReport:
+def run_identity(identity: str, options=None, pool: WorkerPool | None = None,
+                 ahead: str | None = None) -> IdentityReport:
     """Run one identity sweep on the workers of `pool`, or serially without
-    one.  Failures keep case order, so output is reproducible for any worker
-    count."""
-    checker, cases = _sweep(identity, options)
-    start = time.perf_counter()
-    results = map(checker, cases) if pool is None else pool.map(checker, cases)
+    one.  `ahead`, the key of the identity to run next, submits that sweep
+    with the same options before this one is read, so the workers need not
+    wait for it.  Failures keep case order, so output is reproducible for
+    any worker count.  The report's ms is the wall time since the pool's
+    previous report, or since the pool was made: while sweeps overlap, the
+    time each one takes on its own is not defined."""
+    if pool is None:
+        pool = WorkerPool(1)  # one worker: it never opens a process pool
+    pool.submit(identity, options)
+    if ahead is not None:
+        pool.submit(ahead, options)
+    cases, results = pool.results(identity, options)
     failures = [r for r in results if r is not None]
-    ms = int((time.perf_counter() - start) * 1000)
-    return IdentityReport(identity, len(cases), failures, ms)
+    return IdentityReport(identity, len(cases), failures, pool.lap())

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import errno
 import hashlib
 import importlib
 import inspect
@@ -22,12 +23,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import ext_binomial_brute, poly_mul_brute
 
 import qchar.characters as characters
 import qchar.cli
 import qchar.verify as verify
 from qchar.cli import main
-from qchar.laurent import BiLaurent
+from qchar.laurent import BiLaurent, _pack, _unpack_qdict
 from qchar.supernomial import SiteVector, multiplicities, supernomial
 from qchar.verify import REPORT_SCHEMA
 
@@ -155,6 +157,11 @@ def test_malformed_input_exits_2(capsys, tmp_path):
          "sweep for 'knuth' is empty"),
         (("verify", "all", "--config", str(empty[2])),
          "sweep for 'knuth' is empty"),
+        # a report path that cannot be written fails before the first sweep
+        (("verify", "pascal", "--report", str(tmp_path / "missing" / "r.json")),
+         f"[Errno {errno.ENOENT}]"),
+        (("verify", "pascal", "--report", str(tmp_path)),
+         f"[Errno {errno.EISDIR}]"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -431,16 +438,52 @@ def test_corrupted_regenerated_table_pins_the_regen_payload(capsys,
 
 
 def test_corrupted_rdc_factor_pins_the_payload(capsys, monkeypatch):
-    # X(1, 1) = 1 + q: the lhs X(1,1)^2 and the one-term rhs differ
-    real = verify._ext_qdict
-    monkeypatch.setattr(verify, "_ext_qdict", lambda n, m: (
-        {0: 1, 1: 1} if (n, m) == (1, 1) else real(n, m)))
+    # X(1, 1) = 1 + q in the packed factor the kernel reads: the lhs
+    # X(1,1)^2 and the one-term rhs differ
+    real = verify._packed
+    monkeypatch.setattr(verify, "_packed", lambda n, m, width: (
+        _pack([1, 1], width) if (n, m) == (1, 1) else real(n, m, width)))
     code, out, _ = run_cli(capsys, "verify", "rdc", "--bound", "1")
     assert code == 1
     assert out == _counterexample_stdout(
         "rdc: 81 cases, 1 failures", {"N": 1, "M": 1, "n": 1, "m": 1},
         _terms(("0", 0, "1"), ("1", 0, "2"), ("2", 0, "1")),
         _terms(("0", 0, "1"), ("1", 0, "1")))
+
+
+def _rdc_sides_brute(big_n, big_m, n, m):
+    """Both sides of rdc as {exponent: coefficient}, from the box-counted
+    binomials multiplied term by term, the sum over every l at which no
+    factor vanishes (0 <= b <= t or b <= t < 0 for X(t, b))."""
+    lhs = poly_mul_brute(ext_binomial_brute(big_n, n),
+                         ext_binomial_brute(big_m, m))
+    rhs: dict = {}
+    reach = 2 * sum(map(abs, (big_n, big_m, n, m))) + 2
+    for l in range(-reach, reach + 1):
+        pairs = ((big_n - m, n - l), (big_m - n, m - l),
+                 (big_n + big_m - n - m + l, l))
+        if not all(0 <= b <= t or b <= t < 0 for t, b in pairs):
+            continue
+        first, second, third = (ext_binomial_brute(*pair) for pair in pairs)
+        product = poly_mul_brute(poly_mul_brute(first, second), third)
+        for e, coeff in product.items():
+            e += (n - l) * (m - l)
+            rhs[e] = rhs.get(e, 0) + coeff
+    return lhs, {e: c for e, c in rhs.items() if c}
+
+
+@pytest.mark.parametrize("case", [(19, 20, 3, 17), (15, 18, 11, 3),
+                                  (-4, -4, -24, -24), (-15, 30, -19, 2),
+                                  (30, -15, 2, -19)])
+def test_rdc_sides_unpack_to_the_brute_products(case):
+    # coefficients past 2^15, each at a width where one byte less would not
+    # hold the largest of them, on standard, reflected and mixed factors
+    width, low, lhs, rhs = verify._rdc_sides(*case)
+    want = _rdc_sides_brute(*case)
+    assert [_unpack_qdict(side, width, low) for side in (lhs, rhs)] == list(want)
+    assert want[0] == want[1]
+    top = max(map(abs, want[0].values()))
+    assert 2**15 < top and top.bit_length() >= 8 * (width - 1)
 
 
 def test_corrupted_fermionic_sum_pins_the_rec_main_payload(capsys,
@@ -525,6 +568,26 @@ def test_wrong_balanced_sum_is_caught(capsys, monkeypatch):
     params = json.loads(first.removeprefix("counterexample "))
     assert verify._is_balanced(params["p"], params["d"], params["plus"],
                                params["minus"], tuple(params["levels"]))
+
+
+def test_tb_after_ta_reports_the_failures_of_the_shared_cases(
+        capsys, monkeypatch, tmp_path):
+    # under all, tb reads the results of ta's cases from ta: its failures,
+    # their count and the first counterexample are those of tb alone
+    real = verify.fermionic_sum
+    monkeypatch.setattr(verify, "fermionic_sum", lambda site: real(site) + (
+        BiLaurent.one() if site.plus + site.minus == 2 else BiLaurent.zero()))
+    ranges = ("--p", "2..3", "--nmax", "3", "--margin", "1")
+    _, alone, _ = run_cli(capsys, "verify", "tb", *ranges)
+    config = dict(SMALL_SWEEPS, p_hi=3, nmax=3, margin=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "verify", "all", "--config", str(path))
+    assert code == 1
+    tb = out[out.index("\ntb: ") + 1:]
+    assert tb[:tb.index("\nrec: ") + 1] == alone
+    ta = out[out.index("\nta: ") + 1:]
+    assert int(ta.split()[3]) > 0  # ta failed on some of the shared cases
 
 
 def test_internal_error_in_compute_exits_3(capsys, monkeypatch):
@@ -649,6 +712,115 @@ def test_verify_all_opens_one_pool(capsys, monkeypatch, tmp_path):
     assert pools == [2]
     assert len(maps) == len(verify.ALL_IDENTITIES)
     assert len(set(map(id, maps))) == 1
+
+
+def _logging_executor(log):
+    """A fake ProcessPoolExecutor that checks each case in-process as its
+    result is read, and logs ("map", k, cases) when sweep k is submitted,
+    ("read", k) when its first result is taken and ("done", k) when its
+    last one is."""
+
+    class FakePool:
+        def __init__(self, max_workers):
+            log.append(("open", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cases, chunksize):
+            k = sum(event[0] == "map" for event in log)
+            log.append(("map", k, len(cases)))
+
+            def results():
+                log.append(("read", k))
+                for i, case in enumerate(cases, 1):
+                    if i == len(cases):
+                        log.append(("done", k))
+                    yield fn(case)
+
+            return results()
+
+    return FakePool
+
+
+def _verify_all_on_a_logging_executor(capsys, monkeypatch, *argv):
+    log = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _logging_executor(log))
+    code, out, _ = run_cli(capsys, "--jobs", "2", "verify", "all", *argv)
+    assert code == 0
+    return log, out
+
+
+def test_verify_all_submits_each_sweep_before_it_reads_the_last(
+        capsys, monkeypatch, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(SMALL_SWEEPS))
+    log, _ = _verify_all_on_a_logging_executor(capsys, monkeypatch,
+                                               "--config", str(config))
+    events = [event[:2] for event in log]
+    sweeps = len(verify.ALL_IDENTITIES)
+    assert sorted(k for kind, k in events if kind == "map") == list(range(sweeps))
+    for k in range(sweeps - 1):
+        assert events.index(("map", k + 1)) < events.index(("read", k))
+    # one sweep ahead, never more: at most two submitted and not done
+    held = list(itertools.accumulate(
+        {"map": 1, "done": -1}.get(kind, 0) for kind, _ in events))
+    assert max(held) == 2 and held[-1] == 0
+
+
+def test_verify_all_checks_each_shared_case_once(capsys, monkeypatch):
+    # ta's cases are tb's balanced ones, and both use one checker: tb hands
+    # the workers only the 1335 - 569 cases that ta did not check
+    log, out = _verify_all_on_a_logging_executor(capsys, monkeypatch)
+    lines = dict(line.split(": ") for line in out.splitlines())
+    assert (lines["ta"], lines["tb"]) == ("569 cases, 0 failures",
+                                          "1335 cases, 0 failures")
+    reported = sum(int(text.split()[0]) for text in lines.values())
+    mapped = [event[2] for event in log if event[0] == "map"]
+    assert len(mapped) == len(verify.ALL_IDENTITIES)
+    assert reported == 25157
+    assert sum(mapped) == 24588 == reported - 569
+
+
+def _odd_cases_fail(case):
+    # top-level, so that pool workers can unpickle it
+    return {"params": {"case": case}, "lhs": 1, "rhs": 0} if case % 2 else None
+
+
+def _cases_past_three_fail(case):
+    return {"params": {"case": case}, "lhs": 1, "rhs": 0} if case > 3 else None
+
+
+def test_pool_reopened_while_a_sweep_is_held_returns_every_result(
+        monkeypatch):
+    # the first sweep opens two real workers and is still held when the
+    # second, with more cases, reopens the pool with three
+    opened = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setitem(verify._REGISTRY, "pascal",
+                        (lambda opts: [1, 2], _odd_cases_fail, {}))
+    monkeypatch.setitem(verify._REGISTRY, "rdc",
+                        (lambda opts: list(range(40)), _cases_past_three_fail,
+                         {}))
+    with verify.WorkerPool(3) as pool:
+        first = verify.run_identity("pascal", pool=pool, ahead="rdc")
+        second = verify.run_identity("rdc", pool=pool)
+    assert opened == [2, 3]
+    assert [f["params"]["case"] for f in first.failures] == [1]
+    assert [f["params"]["case"] for f in second.failures] == list(range(4, 40))
 
 
 def test_verify_unknown_identity_exits_2(capsys):
