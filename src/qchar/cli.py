@@ -191,63 +191,35 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _verify_options(args, taken) -> dict:
-    opts = {}
+def _verify_options(args) -> tuple[dict, dict]:
+    """(the --config object, the options of the other flags); verify.check
+    judges them."""
+    config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
+            config = json.load(handle)
+        if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if type(value) is not int:
-                raise ValueError(f"config option {key!r} must be an integer")
-        opts.update(loaded)
+    flags = {key: getattr(args, key) for key in
+             ("nmax", "margin", "window", "bound", "entry_max", "amax", "count",
+              "seed") if getattr(args, key) is not None}
     if args.p is not None:
-        lo, hi = _parse_range(args.p)
-        opts["p_lo"], opts["p_hi"] = lo, hi
-    for key in ("nmax", "margin", "window", "bound", "entry_max", "amax",
-                "count"):
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
+        flags["p_lo"], flags["p_hi"] = _parse_range(args.p)
     if args.range_ is not None:
-        if args.range_ < 0:
-            raise ValueError(f"--range must be >= 0, got {args.range_}; "
-                             "a negative window would empty the sweep")
-        opts["lo"], opts["hi"] = -args.range_, args.range_ + 3
-        opts["awin"] = args.range_
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    # an option that no chosen identity takes would be dropped without a word
-    unknown = set(opts).difference(taken)
-    if unknown:
-        raise ValueError(f"verify {args.identity} takes no option "
-                         f"{', '.join(map(repr, sorted(unknown)))}")
-    # a negative count or bound would quietly shrink or empty the sweep
-    for key in ("count", "amax", "margin", "entry_max", "nmax", "bound",
-                "window", "awin"):
-        if opts.get(key, 0) < 0:
-            raise ValueError(f"option {key!r} must be >= 0, got {opts[key]}; "
-                             "a negative value would shrink or empty the sweep")
-    if opts.get("p_lo", 2) < 2:  # ta and tb would quietly skip p < 2
-        raise ValueError(f"--p must start at 2 or above (p_lo = {opts['p_lo']})")
-    return opts
+        flags.update(lo=-args.range_, hi=args.range_ + 3, awin=args.range_)
+    return config, flags
 
 
 def _cmd_verify(args) -> int:
     # imported here, so that only a verify command loads the sweeps
     from contextlib import nullcontext
 
-    from .verify import ALL_IDENTITIES, WorkerPool, _REGISTRY, _sweep, run_identity
+    from .verify import WorkerPool, check, run_identity
 
-    keys = ALL_IDENTITIES + ("all",)
-    if args.identity not in keys:
-        raise ValueError(f"unknown identity {args.identity!r}; "
-                         f"choose from {', '.join(keys)}")
-    names = ALL_IDENTITIES if args.identity == "all" else (args.identity,)
-    opts = _verify_options(args, set().union(*(_REGISTRY[n][2] for n in names)))
-    for name in names:  # an empty sweep fails before any line is printed
-        _sweep(name, opts)
+    config, flags = _verify_options(args)
+    # an option or a sweep that cannot run fails before any line is printed
+    names = check(args.identity, config, flags)
+    opts = {**config, **flags}
     # so does a report path that cannot be written: the file opens first
     report_file = (open(args.report, "w", encoding="utf-8") if args.report
                    else nullcontext())

@@ -69,7 +69,7 @@ from .fusion import (
 )
 
 __all__ = ["IdentityReport", "REPORT_SCHEMA", "ALL_IDENTITIES", "WorkerPool",
-           "run_identity"]
+           "check", "run_identity"]
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -200,8 +200,6 @@ def _is_balanced(p, d, plus, minus, levels):
 
 def _cases_pascal(opts):
     w = opts["window"]
-    if w < 0:
-        return []  # the regenerated table of a negative window is empty
     cases = [("id", n, m) for n in range(-w, w + 1) for m in range(-w, w + 1)]
     cases.append(("regen", w))
     return cases
@@ -717,7 +715,8 @@ class WorkerPool:
 
 
 def _held_key(identity: str, options) -> tuple:
-    return identity, tuple(sorted((options or {}).items()))
+    # checked first: a list value would raise TypeError, not ValueError
+    return identity, tuple(sorted(_int_options(options or {}).items()))
 
 
 def _merged(cases, fresh, shared, failed):
@@ -733,20 +732,77 @@ def _merged(cases, fresh, shared, failed):
         yield result
 
 
+# a negative value would shrink or empty the sweep without a word
+_NONNEGATIVE = ("count", "amax", "margin", "entry_max", "nmax", "bound",
+                "window", "awin")
+
+
+def _int_options(*layers: dict) -> dict:
+    """The dicts merged in order, a later one winning a key.  ValueError for
+    a value that is not an int, also one that a later dict replaces."""
+    merged = {}
+    for layer in layers:
+        for key, value in layer.items():
+            if type(value) is not int:
+                raise ValueError(f"config option {key!r} must be an integer")
+        merged.update(layer)
+    return merged
+
+
+def _refuse_untaken(identity: str, options: dict, names) -> None:
+    # an option that none of the identities names takes would be dropped
+    # without a word
+    unknown = set(options).difference(*(_REGISTRY[n][2] for n in names))
+    if unknown:
+        raise ValueError(f"verify {identity} takes no option "
+                         f"{', '.join(map(repr, sorted(unknown)))}")
+
+
 def _sweep(identity: str, options=None) -> tuple:
     """(checker, cases) of one identity sweep, with options merged over its
-    defaults.  ValueError for an unknown identity or an empty sweep."""
+    defaults.  A key of another identity is not used, so that one dict can
+    drive every sweep of `verify all`, but every value is checked.
+    ValueError, with the text `qchar verify` prints, for an unknown
+    identity, a value that is not an int, a key that no identity takes, a
+    negative count, bound or window (_NONNEGATIVE), p_lo < 2, or an empty
+    sweep."""
     if identity not in _REGISTRY:
         raise ValueError(f"unknown identity {identity!r}")
+    options = _int_options(options or {})
+    _refuse_untaken(identity, options, _REGISTRY)
+    for key in _NONNEGATIVE:
+        if options.get(key, 0) < 0:
+            raise ValueError(f"option {key!r} must be >= 0, got {options[key]}; "
+                             "a negative value would shrink or empty the sweep")
+    if options.get("p_lo", 2) < 2:  # ta and tb would quietly skip p < 2
+        raise ValueError(f"--p must start at 2 or above (p_lo = {options['p_lo']})")
     gen, checker, defaults = _REGISTRY[identity]
-    opts = dict(defaults)
-    for key, value in (options or {}).items():
-        if key in defaults and value is not None:
-            opts[key] = value
-    cases = gen(opts)
+    cases = gen({key: options.get(key, value) for key, value in defaults.items()})
     if not cases:
         raise ValueError(f"sweep for {identity!r} is empty; widen the ranges")
     return checker, cases
+
+
+def check(identity: str, *options: dict) -> tuple:
+    """The identity keys that `qchar verify <identity>` runs (identity is a
+    key or "all"), once their sweeps are known to run under the options:
+    dicts merged in order, a later one winning a key, as the flags of
+    `qchar verify` win over its --config.  ValueError, with the text the
+    CLI prints, for an unknown identity key, a value that is not an int
+    (also one that a later dict replaces), an option that none of the
+    chosen identities takes, or anything _sweep refuses for one of them;
+    a key that only another chosen identity takes is not used by the
+    others.  No sweep is run, but each one's cases are generated."""
+    keys = ALL_IDENTITIES + ("all",)
+    if identity not in keys:
+        raise ValueError(f"unknown identity {identity!r}; "
+                         f"choose from {', '.join(keys)}")
+    names = ALL_IDENTITIES if identity == "all" else (identity,)
+    merged = _int_options(*options)
+    _refuse_untaken(identity, merged, names)
+    for name in names:
+        _sweep(name, merged)
+    return names
 
 
 def run_identity(identity: str, options=None, pool: WorkerPool | None = None,
@@ -757,7 +813,9 @@ def run_identity(identity: str, options=None, pool: WorkerPool | None = None,
     wait for it.  Failures keep case order, so output is reproducible for
     any worker count.  The report's ms is the wall time since the pool's
     previous report, or since the pool was made: while sweeps overlap, the
-    time each one takes on its own is not defined."""
+    time each one takes on its own is not defined.  Options are checked as
+    `qchar verify` checks them (see _sweep): ValueError before any case
+    runs, and a key of another identity is not used."""
     if pool is None:
         pool = WorkerPool(1)  # one worker: it never opens a process pool
     pool.submit(identity, options)

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, reports, mutation."""
 
+import ast
 import concurrent.futures
 import contextlib
 import errno
@@ -138,6 +139,8 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     # malformed option values, each named on one stderr line
     config = tmp_path / "cfg.json"
     config.write_text("[1, 2]")  # a JSON list, not an object
+    shadowed = tmp_path / "shadowed.json"
+    shadowed.write_text(json.dumps({"nmax": "3"}))  # a flag replaces it
     # ranges that empty a sweep after others, checked before any output
     empty = []
     for i, ranges in enumerate([{"p_hi": 1}, {"lo": 5, "hi": 2}, {"hi": -1}]):
@@ -151,6 +154,8 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         (("verify", "tb", "--p", "4..2"), "empty range '4..2'"),
         (("verify", "tb", "--config", str(config)),
          "config file must hold a JSON object"),
+        (("verify", "tb", "--nmax", "2", "--config", str(shadowed)),
+         "config option 'nmax' must be an integer"),
         (("verify", "all", "--config", str(empty[0])),
          "sweep for 'ta' is empty"),
         (("verify", "all", "--config", str(empty[1])),
@@ -203,6 +208,23 @@ def test_start_up_and_serial_sweep_load_no_process_pool():
     lines = done.stdout.splitlines()  # compute and verify print between
     assert (lines[0], lines[2], lines[-2:]) == ("[]", "[]",
                                                 ["0", "['qchar.verify']"])
+
+
+def test_cli_imports_no_private_name_from_verify():
+    # the option rules live in verify alone: the CLI parses and calls
+    # verify.check, and no other module reads the registry or _sweep
+    src = Path(qchar.__file__).parent
+    imported = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("verify", "qchar.verify")):
+                imported += [(path.name, alias.name) for alias in node.names]
+            if path.name != "verify.py":
+                name = getattr(node, "id", getattr(node, "attr", None))
+                assert name not in ("_REGISTRY", "_sweep"), path.name
+    assert ("cli.py", "check") in imported
+    assert [pair for pair in imported if pair[1].startswith("_")] == []
 
 
 def test_verify_single_p_runs_that_p(capsys):
@@ -305,6 +327,16 @@ def test_verify_config_file(capsys, tmp_path):
     assert f"{5 ** 4} cases" in out
 
 
+def _library_refuses(identity, options, err):
+    """run_identity refuses options, for the identity or for the first of
+    all that does, with the line the CLI printed to stderr."""
+    names = verify.ALL_IDENTITIES if identity == "all" else (identity,)
+    with pytest.raises(ValueError) as refused:
+        for name in names:
+            verify.run_identity(name, options)
+    assert f"error: {refused.value}\n" == err
+
+
 @pytest.mark.parametrize("value", ["3", True, 3.0, None, [3]])
 def test_verify_config_rejects_non_integer_values(capsys, tmp_path, value):
     config = tmp_path / "cfg.json"
@@ -313,9 +345,10 @@ def test_verify_config_rejects_non_integer_values(capsys, tmp_path, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    _library_refuses("tb", {"nmax": value}, err)
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "config", "library"])
 @pytest.mark.parametrize(
     "identity, key", [("rec", "count"), ("rec", "amax"), ("rec", "entry_max"),
                       ("ta", "margin"), ("tb", "nmax"), ("pascal", "window"),
@@ -337,9 +370,11 @@ def test_verify_rejects_negative_sweep_options(capsys, tmp_path, source,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if source == "library":  # the config's dict, passed to run_identity
+        _library_refuses(identity, {key: -1}, err)
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "config", "library"])
 @pytest.mark.parametrize("identity", ["char-eq", "ta"])
 def test_verify_rejects_p_below_2(capsys, tmp_path, source, identity):
     # char-eq would otherwise fail with an error naming no option, and ta
@@ -355,6 +390,8 @@ def test_verify_rejects_p_below_2(capsys, tmp_path, source, identity):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "p_lo" in err and "--p" in err
+    if source == "library":  # the config's dict, passed to run_identity
+        _library_refuses(identity, {"p_lo": 1}, err)
 
 
 @pytest.mark.parametrize("identity, flags, config", [
@@ -364,12 +401,13 @@ def test_verify_rejects_p_below_2(capsys, tmp_path, source, identity):
     ("tb", ["--nmax", "2"], {"window": 3}),
     ("all", [], {"nmax": 2, "margn": 0}),
     ("all", ["--seed", "3"], {"p_hi": 2, "bound": 2, "awin": 2, "typo": 1}),
+    ("tb", None, {"nmax": 2, "margn": 0}),  # also passed to run_identity
 ])
 def test_verify_rejects_options_no_identity_takes(capsys, tmp_path, identity,
                                                   flags, config):
     # each would otherwise be dropped, and the default sweep would run and
     # exit 0; for all, an option is taken when some identity takes it
-    argv = list(flags)
+    argv = list(flags or ())
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -378,6 +416,8 @@ def test_verify_rejects_options_no_identity_takes(capsys, tmp_path, identity,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if flags is None:  # the library input: a key that no identity takes
+        _library_refuses(identity, config, err)
 
 
 def test_corrupted_engine_is_caught(capsys, monkeypatch):
