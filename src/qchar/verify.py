@@ -36,7 +36,7 @@ import random
 import time
 from contextlib import ExitStack
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import sub
 
 from .laurent import (
@@ -200,9 +200,10 @@ def _is_balanced(p, d, plus, minus, levels):
 
 def _cases_pascal(opts):
     w = opts["window"]
-    cases = [("id", n, m) for n in range(-w, w + 1) for m in range(-w, w + 1)]
-    cases.append(("regen", w))
-    return cases
+    for n in range(-w, w + 1):
+        for m in range(-w, w + 1):
+            yield ("id", n, m)
+    yield ("regen", w)
 
 
 def _qexp_minus_one(e: int) -> BiLaurent:
@@ -288,8 +289,7 @@ def _check_pascal(case):
 
 def _cases_rdc(opts):
     b = opts["bound"]
-    r = range(-b, b + 1)
-    return [(N, M, n, m) for N in r for M in r for n in r for m in r]
+    return itertools.product(range(-b, b + 1), repeat=4)  # (N, M, n, m)
 
 
 def _rdc_sides(big_n, big_m, n, m):
@@ -367,13 +367,13 @@ def _check_rdc(case):
 
 def _cases_knuth(opts):
     lo, hi, awin = opts["lo"], opts["hi"], opts["awin"]
-    return [
+    return (
         (M, S, a)
         for M in range(lo, hi + 1)
         for S in range(lo, hi + 1)
         if M + S >= 0
         for a in range(-awin, awin + 1)
-    ]
+    )
 
 
 def _check_knuth(case):
@@ -398,7 +398,7 @@ def _cases_tb(opts):
 
 
 def _cases_ta(opts):
-    return [case for case in _cases_tb(opts) if _is_balanced(*case)]
+    return (case for case in _cases_tb(opts) if _is_balanced(*case))
 
 
 def _check_tb(case):
@@ -413,53 +413,46 @@ def _check_tb(case):
 
 def _cases_rec(opts):
     entry, amax = opts["entry_max"], opts["amax"]
-    cases = []
     for k in (2, 3):
         for mult in itertools.product(range(entry + 1), repeat=k):
             for a in range(-amax, amax + 1):
-                cases.append(("sup", mult, a))
+                yield ("sup", mult, a)
     for k in (1, 2, 3):
         for mult in itertools.product(range(entry + 1), repeat=k):
             for a in range(-2, _top(mult) + 3):
-                cases.append(("trunc", mult, a))
+                yield ("trunc", mult, a)
     for case in _site_cases(2, 3, 3, 1, max_d=None):
         p, d, plus, minus, levels = case
         if d + 1 <= 2 * p - 3:
-            cases.append(("pad", p, plus, minus, levels))
-    cases.extend(_cases_rec_main(opts))
-    cases.extend(_cases_rec_diag(opts))
-    return cases
+            yield ("pad", p, plus, minus, levels)
+    yield from _cases_rec_main(opts)
+    yield from _cases_rec_diag(opts)
 
 
-def _cutoff_step(data, nvec, a):
-    """The one-step cutoff recurrence of the lattice sum chi of data (A, u,
-    v) at the cutoff N in direction a,
+def _cutoff_step(matrix, nvec, a):
+    """The two smaller cutoffs (N - e_a, N - A e_a) of the one-step cutoff
+    recurrence of the lattice sum chi of data (A, u, v) at the cutoff N in
+    direction a,
 
-        chi(N) = chi(N - e_a) + z^(u_a) q^(N_a + v_a - A_aa/2) chi(N - A e_a),
+        chi(N) = chi(N - e_a) + z^(u_a) q^(N_a + v_a - A_aa/2) chi(N - A e_a);
 
-    as (N - e_a, N - A e_a, the monomial)."""
-    row = data.matrix[a]
+    _check_rec builds the monomial."""
     down = nvec[:a] + (nvec[a] - 1,) + nvec[a + 1 :]
-    pref = BiLaurent.term(1, nvec[a] + data.v[a] - Fraction(row[a], 2),
-                          data.u[a])
-    return down, tuple(map(sub, nvec, row)), pref
+    return down, tuple(map(sub, nvec, matrix[a]))
 
 
 def _cases_rec_main(opts):
-    out = []
     for p, d, plus, minus, levels in _site_cases(2, 3, 3, 0, max_d=2):
-        data = QuadraticData.for_site(p, d)
+        matrix = QuadraticData.for_site(p, d).matrix
         for aidx in range(d + 2):
-            down, downa, _ = _cutoff_step(data, (plus, minus) + levels, aidx)
+            steps = _cutoff_step(matrix, (plus, minus) + levels, aidx)
             if all(min(multiplicities(SiteVector(p, c[0], c[1], c[2:]))) >= 0
-                   for c in (down, downa)):
-                out.append(("main", p, d, plus, minus, levels, aidx))
-    return out
+                   for c in steps):
+                yield ("main", p, d, plus, minus, levels, aidx)
 
 
 def _cases_rec_diag(opts):
     rng = random.Random(opts["seed"])
-    out = []
     for _ in range(opts["count"]):
         m = rng.randint(1, 3)
         diag = tuple(rng.randint(2, 4) for _ in range(m))
@@ -470,8 +463,7 @@ def _cases_rec_diag(opts):
         )
         u = tuple(rng.randint(-2, 2) for _ in range(m))
         v2 = tuple(rng.randint(-2, 2) for _ in range(m))
-        out.append(("diag", m, diag, nvec, u, v2, aidx))
-    return out
+        yield ("diag", m, diag, nvec, u, v2, aidx)
 
 
 def _check_rec(case):
@@ -522,7 +514,9 @@ def _check_rec(case):
 
         params = {"case": "diag", "diag": list(diag), "N": list(nvec),
                   "u": list(u), "v2": list(v2), "a": aidx}
-    down, downa, pref = _cutoff_step(data, nvec, aidx)
+    down, downa = _cutoff_step(data.matrix, nvec, aidx)
+    pref = BiLaurent.term(1, nvec[aidx] + data.v[aidx]
+                          - Fraction(data.matrix[aidx][aidx], 2), data.u[aidx])
     return _compare(params, chi(nvec), chi(down) + pref * chi(downa))
 
 
@@ -531,13 +525,13 @@ def _check_rec(case):
 
 def _cases_chareq(opts):
     full = _full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"])
-    cases = [("full",) + c for c in full]
+    for case in full:
+        yield ("full",) + case
     for p, r, plus, minus, levels in full:
         total = plus + minus
         for d in range(p - 1):
             if all(x == total for x in levels[d:]):
-                cases.append(("cor", p, r, d, plus, minus, levels))
-    return cases
+                yield ("cor", p, r, d, plus, minus, levels)
 
 
 def _check_chareq(case):
@@ -615,27 +609,36 @@ _REGISTRY = {
 
 ALL_IDENTITIES = tuple(_REGISTRY)
 
+# cases per window of a sweep on the workers (see WorkerPool): what bounds
+# the cases a run holds, whatever the size of its sweeps
+_WINDOW = 4096
+
 
 class WorkerPool:
     """Worker processes shared by the sweeps of one run, and the sweeps
     submitted to them and not yet read.
 
     The pool opens on the first sweep that can use more than one worker, with
-    as many as that sweep can use: never more than jobs, the CPUs or its
-    cases.  It reopens larger only for a later sweep that can use more.
-    Closing the old pool first finishes the work submitted to it, so a sweep
-    that the pool still holds keeps every result.  The workers keep their
-    memo tables from one sweep to the next.
+    as many as that sweep can use: never more than jobs, the CPUs or the
+    cases of its first window.  It reopens larger only for a later sweep
+    that can use more.  Closing the old pool first finishes the work
+    submitted to it, so a sweep that the pool still holds keeps every
+    result.  The workers keep their memo tables from one sweep to the next.
 
-    A sweep is submitted whole, and the pool holds it until run_identity
-    reads its results, in case order.  run_identity can submit the next
-    sweep before it reads one, so the workers go from one identity to the
-    next without waiting at a barrier; the pool then holds two sweeps, never
-    more.  With one worker nothing runs ahead: each check runs as its result
-    is read.  A sweep submitted while the pool holds another with the same
-    checker submits only the cases that one lacks and reads the results of
-    the shared ones from it, so within one run a case is checked once.  That
-    state lives only as long as the two sweeps are held.
+    A sweep goes to the workers in windows of _WINDOW cases, generated as
+    they are submitted: the first two when the sweep is submitted, and
+    each next one as the results of the window two before it have been
+    read, so the workers never wait for the reader within a sweep.
+    run_identity reads the results in case order, and it can submit the
+    next sweep before it reads one, so the workers go from one identity to
+    the next without waiting at a barrier.  The pool then holds at most
+    four windows, two of the sweep being read and two of the next one,
+    however many cases the sweeps have.  With one worker nothing runs
+    ahead: each check runs as its result is read.  A sweep submitted while
+    the pool holds another with the same checker submits only the cases
+    that one lacks and reads the results of the shared ones from it, so
+    within one run a case is checked once.  That state lives only as long
+    as the two sweeps are held.
     """
 
     def __init__(self, jobs: int):
@@ -644,7 +647,8 @@ class WorkerPool:
         self._size = 0
         self._stack = ExitStack()
         # (identity, options) -> (checker, cases, results of the cases
-        # submitted, shared, failures by case); see submit
+        # submitted, shared, failures by case), where cases() generates the
+        # sweep's cases anew; see submit
         self._held: dict = {}
         self._mark = time.perf_counter()
 
@@ -662,10 +666,13 @@ class WorkerPool:
         self._size = 0
 
     def map(self, checker, cases):
-        """checker over cases, results in case order."""
-        workers = min(self.jobs, os.cpu_count() or 1, len(cases))
+        """checker over the iterable cases, results in case order; the first
+        two windows of cases are generated and submitted now."""
+        cases = iter(cases)
+        window = list(itertools.islice(cases, _WINDOW))
+        workers = min(self.jobs, os.cpu_count() or 1, len(window))
         if workers <= 1:
-            return map(checker, cases)
+            return map(checker, itertools.chain(window, cases))
         if workers > self._size:
             # imported here, so that a run that never forks workers does
             # not load multiprocessing; the pool forks all its workers at
@@ -677,8 +684,25 @@ class WorkerPool:
                 ProcessPoolExecutor(max_workers=workers)
             )
             self._size = workers
-        chunk = max(1, len(cases) // (workers * 8))
-        return self._pool.map(checker, cases, chunksize=chunk)
+        chunk = max(1, len(window) // (workers * 8))
+        results = self._pool.map(checker, window, chunksize=chunk)
+        return self._windows(checker, cases, results,
+                             self._next_window(checker, cases, chunk), chunk)
+
+    def _windows(self, checker, cases, results, following, chunk):
+        """The results of the submitted window, then those of `following`,
+        the window submitted after it, and so on: each next window goes to
+        the pool open then as the one two before it has been read, so
+        two windows are with the workers until the cases run out."""
+        while results:  # [] once the cases run out
+            yield from results
+            results = following
+            following = self._next_window(checker, cases, chunk)
+
+    def _next_window(self, checker, cases, chunk):
+        """The results of the next window of cases, or [] if none is left."""
+        window = list(itertools.islice(cases, _WINDOW))
+        return window and self._pool.map(checker, window, chunksize=chunk)
 
     def submit(self, identity: str, options=None) -> None:
         """Start the sweep of one identity, unless the pool holds it.  If the
@@ -689,22 +713,23 @@ class WorkerPool:
         if key in self._held:
             return
         checker, cases = _sweep(identity, options)
-        fresh, shared = cases, None
+        fresh, shared = cases(), None
         for other, other_cases, _, _, other_failed in self._held.values():
             if other is checker:
-                seen = set(other_cases)
-                fresh = [case for case in cases if case not in seen]
+                seen = set(other_cases())
+                fresh = (case for case in fresh if case not in seen)
                 shared = seen, other_failed
                 break
-        self._held[key] = (checker, cases, iter(self.map(checker, fresh)),
+        self._held[key] = (checker, cases, self.map(checker, fresh),
                            shared, {})
 
-    def results(self, identity: str, options=None) -> tuple:
-        """(cases, their results in case order) of a submitted sweep, which
-        the pool then no longer holds."""
+    def results(self, identity: str, options=None):
+        """The results of a submitted sweep in case order, which the pool
+        then no longer holds; the cases are generated again to merge
+        them."""
         _, cases, fresh, shared, failed = self._held.pop(
             _held_key(identity, options))
-        return cases, _merged(cases, fresh, shared, failed)
+        return _merged(cases(), fresh, shared, failed)
 
     def lap(self) -> int:
         """Whole milliseconds since the previous lap, or since the pool was
@@ -760,12 +785,14 @@ def _refuse_untaken(identity: str, options: dict, names) -> None:
 
 def _sweep(identity: str, options=None) -> tuple:
     """(checker, cases) of one identity sweep, with options merged over its
-    defaults.  A key of another identity is not used, so that one dict can
-    drive every sweep of `verify all`, but every value is checked.
-    ValueError, with the text `qchar verify` prints, for an unknown
-    identity, a value that is not an int, a key that no identity takes, a
-    negative count, bound or window (_NONNEGATIVE), p_lo < 2, or an empty
-    sweep."""
+    defaults: each call cases() returns a new iterable over the sweep's
+    cases, which generates them as they are read.  A key of another
+    identity is not used, so that one dict can drive every sweep of
+    `verify all`, but every value is checked.  ValueError, with the text
+    `qchar verify` prints, for an unknown identity, a value that is not an
+    int, a key that no identity takes, a negative count, bound or window
+    (_NONNEGATIVE), p_lo < 2, or an empty sweep; to tell that, only its
+    first case is generated."""
     if identity not in _REGISTRY:
         raise ValueError(f"unknown identity {identity!r}")
     options = _int_options(options or {})
@@ -777,8 +804,9 @@ def _sweep(identity: str, options=None) -> tuple:
     if options.get("p_lo", 2) < 2:  # ta and tb would quietly skip p < 2
         raise ValueError(f"--p must start at 2 or above (p_lo = {options['p_lo']})")
     gen, checker, defaults = _REGISTRY[identity]
-    cases = gen({key: options.get(key, value) for key, value in defaults.items()})
-    if not cases:
+    cases = partial(gen, {key: options.get(key, value)
+                          for key, value in defaults.items()})
+    if next(iter(cases()), None) is None:
         raise ValueError(f"sweep for {identity!r} is empty; widen the ranges")
     return checker, cases
 
@@ -792,7 +820,7 @@ def check(identity: str, *options: dict) -> tuple:
     (also one that a later dict replaces), an option that none of the
     chosen identities takes, or anything _sweep refuses for one of them;
     a key that only another chosen identity takes is not used by the
-    others.  No sweep is run, but each one's cases are generated."""
+    others.  No sweep is run, but the first case of each is generated."""
     keys = ALL_IDENTITIES + ("all",)
     if identity not in keys:
         raise ValueError(f"unknown identity {identity!r}; "
@@ -821,6 +849,9 @@ def run_identity(identity: str, options=None, pool: WorkerPool | None = None,
     pool.submit(identity, options)
     if ahead is not None:
         pool.submit(ahead, options)
-    cases, results = pool.results(identity, options)
-    failures = [r for r in results if r is not None]
-    return IdentityReport(identity, len(cases), failures, pool.lap())
+    cases, failures = 0, []
+    for result in pool.results(identity, options):
+        cases += 1
+        if result is not None:
+            failures.append(result)
+    return IdentityReport(identity, cases, failures, pool.lap())

@@ -815,16 +815,52 @@ def test_verify_all_submits_each_sweep_before_it_reads_the_last(
 
 def test_verify_all_checks_each_shared_case_once(capsys, monkeypatch):
     # ta's cases are tb's balanced ones, and both use one checker: tb hands
-    # the workers only the 1335 - 569 cases that ta did not check
+    # the workers only the 1335 - 569 cases that ta did not check; rdc and
+    # rec go to them in several windows
     log, out = _verify_all_on_a_logging_executor(capsys, monkeypatch)
     lines = dict(line.split(": ") for line in out.splitlines())
     assert (lines["ta"], lines["tb"]) == ("569 cases, 0 failures",
                                           "1335 cases, 0 failures")
     reported = sum(int(text.split()[0]) for text in lines.values())
     mapped = [event[2] for event in log if event[0] == "map"]
-    assert len(mapped) == len(verify.ALL_IDENTITIES)
+    assert max(mapped) <= verify._WINDOW
     assert reported == 25157
     assert sum(mapped) == 24588 == reported - 569
+
+
+@pytest.mark.parametrize("jobs, windows", [(1, 1), (2, 3)])
+def test_sweep_generates_its_cases_a_bounded_lead_ahead_of_the_checks(
+        monkeypatch, jobs, windows):
+    # pascal becomes a sweep of 200,000 ints; "lead" is the largest lead,
+    # over every generation of its cases, of cases generated over cases
+    # checked.  The pool is _logging_executor's, which checks each case
+    # in-process as its result is read
+    seen = {"checked": 0, "lead": 0, "pulled": 0}
+
+    def cases(opts):
+        for pulled, case in enumerate(range(200_000), 1):
+            seen["lead"] = max(seen["lead"], pulled - seen["checked"])
+            seen["pulled"] += 1
+            yield case
+
+    def check(case):
+        seen["checked"] += 1
+
+    log = []
+    monkeypatch.setitem(verify._REGISTRY, "pascal", (cases, check, {}))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _logging_executor(log))
+    assert verify.check("pascal") == ("pascal",)
+    assert seen["pulled"] == 1  # the check generates the first case only
+    with verify.WorkerPool(jobs) as pool:
+        report = verify.run_identity("pascal", pool=pool)
+    assert (report.cases, report.failures) == (200_000, [])
+    assert seen["checked"] == 200_000
+    assert verify._WINDOW <= seen["lead"] <= windows * verify._WINDOW
+    # the pool opens, then each window is mapped, read and done
+    windows_mapped = -(-200_000 // verify._WINDOW)
+    assert len(log) == (0 if jobs == 1 else 1 + 3 * windows_mapped)
 
 
 def _odd_cases_fail(case):
