@@ -113,9 +113,9 @@ def _weight_box(site: SiteVector) -> tuple[tuple[int, int], ...]:
     """The hull of the support boxes of the site moved by every weight
     0..p-1.  It contains the certified box at each weight, so the lattice
     sum over it is exact at every r; and it is the same for every r, so
-    the lattice sums of a loop over r have one level key and build each
-    level sum once (see fermionic._groups).  Built once per site; the bound
-    keeps the cache small."""
+    the lattice sums of a loop over r have one level key, walk its level
+    block once and build each level sum once (see fermionic._groups).
+    Built once per site; the bound keeps the cache small."""
     boxes = [support_box(_moved(site, k)) for k in range(site.p)]
     return tuple((min(lo for lo, _ in col), max(hi for _, hi in col))
                  for col in zip(*boxes))

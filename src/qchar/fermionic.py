@@ -37,9 +37,10 @@ and lattice_sum multiplies the two sums once per group instead of the
 factors once per summand.  In coupling_matrix the sign/level block has
 rank one: y is a multiple of sum_i (i+1) n_i and x of n_+ + n_-, the
 chain structure of Andrews' multiple-sum Gordon identities.  The level
-sums read neither the sign cutoffs nor v on the signs, so lattice_sum
-keeps them by their level key (see _groups), and the weights r of one
-coinvariant character build each of them once.
+table and the level sums read neither the sign cutoffs nor v on the signs,
+so lattice_sum keeps them by their level key (see _groups), and the
+weights r of one coinvariant character walk the level block once and
+build each level sum once.
 """
 
 from __future__ import annotations
@@ -398,84 +399,127 @@ def _factor_data(tops, bottoms, e2):
 _FACTOR_MIN = 16
 
 
-# the level sums of the last level key, {key: {(y, x): level sums}}; see
-# _groups.  One entry is enough for a loop over the weights r of a site.
+# the level table and the level sums of the last level key that grouped,
+# {key: (level table, {(y, x): level sums})}; see _groups.  One entry is
+# enough for a loop over the weights r of a site.
 _LEVELS: dict = {}
 
 
 def _groups(data, eff, v2, box, steps):
-    """The summands in the walk of the steps, as groups (sign vectors,
-    level sums): every sign vector of a group pairs with every level part
-    of its level sums.
+    """The sign parts of the summands in the walk of the steps, each as
+    (tops, bottoms, z-degree, e2 & 1, least exponent, |value at q = 1|,
+    level sums): every sign part pairs with every level part of its level
+    sums.
 
-    The level block (all but the first two coordinates) is walked once,
-    with every row, into a list.  Each of its leaves in turn walks its sign
-    vectors, and each summand is a group of its own, n paired with an empty
-    level part, until the sum has more than _FACTOR_MIN summands.  Past
-    that, every summand is grouped by the cross contributions (x, y) of the
-    sign and the level block: every leaf of the level walk goes into a
-    level table (see _level_table); the sign vectors at each y of the table
-    are walked with the sign rows alone and grouped by x; and the level
-    sums of (y, x) are read from _LEVELS, or summed from the table's leaves
-    at y and added to it.  A sign vector that passes the sign rows pairs
-    with a level leaf exactly when that leaf's binomials are nonzero at its
-    x, so _level_sums drops every leaf that forms no summand.
+    Until a sum has more than _FACTOR_MIN summands, each summand is a sign
+    part of its own, over every coordinate, paired with an empty level
+    part: the level block (all but the first two coordinates) is walked
+    with every row into a list, and each of its leaves in turn walks its
+    sign vectors.  Past that, every summand is grouped by the cross
+    contributions (x, y) of the sign and the level block.  The sign
+    vectors at each y of the level table (see _level_table) are walked
+    with the sign rows alone; a grouped sign part has the two coordinates
+    (n_+, n_-), and its level sums at (y, x) are read from _LEVELS, or
+    summed from the table's leaves at y and added to it.  A sign vector
+    that passes the sign rows pairs with a level leaf exactly when that
+    leaf's binomials are nonzero at its x, so _level_sums drops every leaf
+    that forms no summand.
 
-    _LEVELS is keyed by the level data: the matrix, u, v2, the cutoffs and
-    the box on the levels.  The weight r of a coinvariant character moves
-    only the sign cutoffs and v on the signs (v2 is 0 on the levels), and
-    coinv_char_fermionic passes one box for every r, so the calls of a loop
-    over r share one key.  The sharing is exact.  The level sum at (y, x)
-    runs over every level leaf in the level box at y whose binomials are
-    nonzero at x.  Each such leaf forms a nonzero summand with the sign
-    vector that made this call read (y, x).  The walk never prunes a vector
-    that extends to a summand, and the table holds every leaf of the level
-    walk, so this call's own table holds every such leaf.  So the sum reads
-    neither the sign cutoffs, the sign box, v on the signs, qmax nor zwin.
+    The level table comes from a walk of the level block with the level
+    rows only, made once per level key and kept with the level sums in
+    _LEVELS.  That walk sets each sign cutoff N_a to
+    1 + sum_j |A_aj| max(|lo_j|, |hi_j|) over the box.  _range reads a sign
+    row there only as an upper row, room - s against c * v at the walked
+    coordinate's bounds v: it reads the need of a sign row only at a
+    negative sign coordinate, and the level walk fixes none.  And
+    room - s - c * v is N_a less a sum of terms A_aj n_j, one per
+    coordinate j, each n_j in its box, so it is at least 1 and the row
+    cuts nothing.  The level rows cut as in the walk of every row, with the
+    sign coordinates anywhere in their box.  So the table holds every level
+    vector in the box that forms a summand with some sign vector in the box,
+    whatever the sign cutoffs, and it reads the matrix, u and v2 on the
+    levels, the level cutoffs and the whole box: the key of _LEVELS.
+
+    The sharing is exact.  The level sum at (y, x) runs over every level
+    leaf of the table at y whose binomials are nonzero at x.  A level
+    vector at y whose binomials are nonzero at the x of a sign vector in
+    the box passes every level row at that sign vector, so it is a leaf of
+    the table.  So the sum is over every such vector in the level box and
+    reads neither the sign cutoffs, v on the signs, qmax nor zwin.  The
+    weight r of a coinvariant character moves only the sign cutoffs and v
+    on the signs (v2 is 0 on the levels), and coinv_char_fermionic passes
+    one box for every r, so the calls of a loop over r share one key: a
+    grouped call on a kept key walks no level block and builds no table.
     """
     m = len(steps)
     ns = 2
-    leaves = []
-    # the summands one by one, each paired with the empty level part:
-    # exponent 0, value 1 at q = 1, no binomials
-    groups = [(leaves, {(0, 0): [0, 1, [(0, ())], None]})]
     if m <= ns:  # no level block
+        leaves = []
         _walk(steps, [0] * m, [0] * m, (), leaves)
-        return groups
-    block_leaves = []
-    _walk(steps[: m - ns], [0] * m, [0] * m, (), block_leaves)
-    sign_steps = steps[m - ns:]
-    for leaf in block_leaves:
-        _walk(sign_steps, *leaf, leaves)
-        if len(leaves) > _FACTOR_MIN:
-            break
-    else:
-        return groups
+        return _one_by_one(data, eff, v2, leaves)
     key = (data.matrix, data.u[ns:], tuple(v2[ns:]), tuple(eff[ns:]),
-           tuple(box[ns:]))
-    sums = _LEVELS.get(key)
-    if sums is None:
+           tuple(box))
+    kept = _LEVELS.get(key)
+    if kept is None:
+        block, leaves = [], []
+        _walk(steps[: m - ns], [0] * m, [0] * m, (), block)
+        for leaf in block:
+            _walk(steps[m - ns:], *leaf, leaves)
+            if len(leaves) > _FACTOR_MIN:
+                break
+        else:
+            return _one_by_one(data, eff, v2, leaves)
+        free = [1 + sum(abs(c) * max(abs(lo), abs(hi))
+                        for c, (lo, hi) in zip(row, box))
+                for row in data.matrix[:ns]]  # sign cutoffs that cut nothing
+        block = []
+        _walk(_steps(box, data.matrix, free + eff[ns:])[: m - ns],
+              [0] * m, [0] * m, (), block)
         _LEVELS.clear()
-        sums = _LEVELS[key] = {}
-    table = _level_table(data, eff, v2, block_leaves)
+        kept = _LEVELS[key] = (_level_table(data, eff, v2, block), {})
+    table, sums = kept
+    e0, e1 = eff[:ns]
+    u0, u1 = data.u[:ns]
+    w0, w1 = v2[:ns]
     cross = list(zip(*[row[ns:] for row in data.matrix[:ns]]))  # A_LS by rows
     cut = [(lo, hi, row[:ns], own, room[:ns], need[:ns])
-           for lo, hi, row, own, room, need in sign_steps]  # sign rows only
-    groups = []
+           for lo, hi, row, own, room, need in steps[m - ns:]]  # sign rows
+    parts = []
     for y, at_y in table.items():
         signs = []
         _walk(cut, [0] * ns, list(y), (), signs)
-        tail: dict = {}  # x -> sign leaves
-        for sign in signs:
-            x = tuple([sum(map(mul, row, sign[0])) for row in cross])
-            tail.setdefault(x, []).append(sign)
-        for x, group in tail.items():
-            level = sums.get((y, x))
-            if level is None:
-                level = sums[y, x] = _level_sums(at_y, x)
-            if level:
-                groups.append((group, level))
-    return groups
+        for (b0, b1), (s0, s1), _ in signs:
+            x = tuple([c0 * b0 + c1 * b1 for c0, c1 in cross])
+            levels = sums.get((y, x))
+            if levels is None:
+                levels = sums[y, x] = _level_sums(at_y, x)
+            if not levels:
+                continue
+            t0, t1 = e0 + b0 - s0, e1 + b1 - s1
+            e2 = b0 * (s0 + w0) + b1 * (s1 + w1)
+            if b0 >= 0 and b1 >= 0:
+                bound = math.comb(t0, b0) * math.comb(t1, b1)
+                par, lo = e2 & 1, e2 >> 1
+            else:
+                par, lo, bound = _factor_data((t0, t1), (b0, b1), e2)
+            parts.append(((t0, t1), (b0, b1), u0 * b0 + u1 * b1, par, lo,
+                          bound, levels))
+    return parts
+
+
+def _one_by_one(data, eff, v2, leaves):
+    """The summands of the leaves (n, nA, negative coordinates) as sign
+    parts over every coordinate, each paired with the empty level part:
+    exponent 0, value 1 at q = 1, no binomials."""
+    u = data.u
+    levels = {(0, 0): [0, 1, [(0, ())], None]}
+    parts = []
+    for n, s, _ in leaves:
+        tops = [e + b - t for e, b, t in zip(eff, n, s)]
+        e2 = sum(map(mul, n, map(add, s, v2)))
+        parts.append((tops, n, sum(map(mul, u, n)),
+                      *_factor_data(tops, n, e2), levels))
+    return parts
 
 
 def _level_table(data, eff, v2, walked):
@@ -526,15 +570,13 @@ def _level_sums(leaves, x):
 
 
 def _level_value(level, width):
-    """The level sum packed at `width` bytes, kept with its width.  The
-    first packing reads the (exponent, pairs) list and then drops it;
-    another width repacks the kept value digit by digit.  Every coefficient
-    fits at any width a lattice sum picks for a product with this level
-    sum.  The kept pair is stored before the list is dropped, so a reader
-    that finds no list finds the pair."""
-    kept = level[3]
-    if kept is not None and kept[0] == width:
-        return kept[1]
+    """The level sum packed at `width` bytes, kept with its width, for a
+    lattice sum that found no value kept at that width.  The first packing
+    reads the (exponent, pairs) list and then drops it; another width
+    repacks the kept value digit by digit.  Every coefficient fits at any
+    width a lattice sum picks for a product with this level sum.  The kept
+    pair is stored before the list is dropped, so a reader that finds no
+    list finds the pair."""
     pairs = level[2]
     if pairs is not None:
         bits, low = 8 * width, level[0]
@@ -581,13 +623,16 @@ def lattice_sum(
 
     For a coupling matrix y = (S, S) with S = sum_i (i+1) n_i, and
     x_i = (i+1)(n_+ + n_-).  The split is exact for every matrix; at worst
-    each group holds one summand.  _groups forms the groups from one walk
-    of the level block; until a sum has more than _FACTOR_MIN summands it
-    keeps them in groups of one, since grouping costs more than it saves
-    on a small sum.  The level sums of the last level key are kept for
-    the calls that share it (see _groups).  Within a group the level
-    parts are summed per (z-degree, e2 & 1), and each sign part is
-    multiplied by each of those sums once.
+    each group holds one summand.  _groups yields the sign parts with
+    their level sums; until a sum has more than _FACTOR_MIN summands it
+    keeps them in groups of one, each summand a sign part over every
+    coordinate, since grouping costs more than it saves on a small sum.
+    Past that a sign part has the two sign coordinates.  The level table
+    and the level sums of the last level key are kept for the calls that
+    share it (see _groups).  Within a group the level parts are summed per
+    (z-degree, e2 & 1), and each sign part is multiplied by each of those
+    sums once: one row (part key, least exponent, tops, bottoms, level sum)
+    per sign part and level sum.
 
     The sum is accumulated in packed ints (see laurent), one per part
     (z-degree, e2 & 1), at one byte width.  Every coefficient is at most
@@ -595,10 +640,10 @@ def lattice_sum(
     coefficient sums, which fixes the width; a group adds (sign total)
     times (level total), so the bound is the one a summand-by-summand sum
     gives.  Each binomial is packed once per process and width, in the
-    memo keyed by (n, m, width) (qbinom._packed), each sign part once per
-    call, and each level sum once per width, so a loop over the weights r
-    of a coinvariant character packs each level sum of its site once, not
-    once per r.
+    memo keyed by (n, m, width) (qbinom._packed), and each level sum once
+    per width, so a loop over the weights r of a coinvariant character
+    packs each level sum of its site once, not once per r.  A row
+    multiplies its level sum by its packed binomials.
 
     qmax / zwin truncate the result to q-degree <= qmax and |z-degree| <=
     zwin, exactly; each is None or an exact number in (1/2)Z (ValueError
@@ -613,40 +658,37 @@ def lattice_sum(
     if steps is None:
         return BiLaurent.zero()
     v2 = [int(2 * x) for x in data.v]
-    groups = _groups(data, eff, v2, box, steps)
-    u = data.u
-    # pair every sign part of a group with each of its level sums
+    # one row per sign part and level key: (key, lo, tops, bottoms, level)
+    rows = []
     base: dict = {}  # least exponent of each part
     bound = 0
-    products = []
-    for signs, levels in groups:
-        for n_s, s_s, _ in signs:
-            tops = [e + b - t for e, b, t in zip(eff, n_s, s_s)]
-            e2 = sum(map(mul, n_s, map(add, s_s, v2)))
-            par_s, lo_s, bound_s = _factor_data(tops, n_s, e2)
-            z_s = sum(map(mul, u, n_s))
-            sign = [tuple(zip(tops, n_s)), None]
-            for (z_l, par_l), level in levels.items():
-                zdeg = z_s + z_l
-                if zwin is not None and abs(zdeg) > zwin:
-                    continue
-                par = par_s ^ par_l
-                lo = lo_s + level[0] + (par_s & par_l)
-                # an int s has s <= qmax - par/2 iff s <= (2*qmax - par) // 2
-                if qmax is not None and lo > (2 * qmax - par) // 2:
-                    continue
-                key = (zdeg, par)
-                if base.get(key, lo) >= lo:
-                    base[key] = lo
-                bound += bound_s * level[1]
-                products.append((key, lo, sign, level))
+    for tops, bottoms, z_s, par_s, lo_s, bound_s, levels in _groups(
+            data, eff, v2, box, steps):
+        for (z_l, par_l), level in levels.items():
+            zdeg = z_s + z_l
+            if zwin is not None and abs(zdeg) > zwin:
+                continue
+            par = par_s ^ par_l
+            lo = lo_s + level[0] + (par_s & par_l)
+            # an int s has s <= qmax - par/2 iff s <= (2*qmax - par) // 2
+            if qmax is not None and lo > (2 * qmax - par) // 2:
+                continue
+            key = (zdeg, par)
+            if base.get(key, lo) >= lo:
+                base[key] = lo
+            bound += bound_s * level[1]
+            rows.append((key, lo, tops, bottoms, level))
     width = _width(bound)
     bits = 8 * width
     parts: dict = {}
-    for key, lo, sign, level in products:
-        if sign[1] is None:
-            sign[1] = math.prod([_packed(t, b, width) for t, b in sign[0]])
-        value = sign[1] * _level_value(level, width)
+    for key, lo, tops, bottoms, level in rows:
+        kept = level[3]
+        if kept is None or kept[0] != width:
+            value = _level_value(level, width)
+        else:
+            value = kept[1]
+        for t, b in zip(tops, bottoms):
+            value *= _packed(t, b, width)
         parts[key] = parts.get(key, 0) + (value << bits * (lo - base[key]))
     acc = {}
     for key, value in parts.items():

@@ -12,11 +12,13 @@ at every integer (n, m), with X(m, m) = 1 and X(n, 0) = 0 for n < 0.
 
 Every binomial, standard or extended, is built as an int-keyed
 {q_exp: coeff} dict by _ext_qdict, a bounded lru_cache.  qbinomial and
-qbinomial_ext wrap those dicts in a BiLaurent on each call; the lattice and
-supernomial sums multiply them as packed ints (see laurent).  A packed
-binomial depends only on (n, m) and the byte width, so _packed keeps the
-last _BINOMIALS of them, keyed by (n, m, width), and each binomial is
-packed once per process and width, not once per sum.
+qbinomial_ext check their arguments and wrap those dicts in a BiLaurent on
+each call without checking them again, since _ext_qdict builds them with
+int exponents and no zero coefficient; the lattice and supernomial sums
+multiply them as packed ints (see laurent).  A packed binomial depends
+only on (n, m) and the byte width, so _packed keeps the last _BINOMIALS of
+them, keyed by (n, m, width), and each binomial is packed once per process
+and width, not once per sum.
 
 All functions are pure; the memo tables are written idempotently, so
 concurrent use (threads or forked workers) is safe.
@@ -59,7 +61,7 @@ def qbinomial(n: int, m: int) -> BiLaurent:
     n, m = _exact_int(n), _exact_int(m)
     if not (n >= m >= 0):
         return BiLaurent.zero()
-    return BiLaurent.from_qdict(_ext_qdict(n, m))
+    return BiLaurent._raw({(e, 0): c for e, c in _ext_qdict(n, m).items()})
 
 
 def _divide_one_minus_q_power(coeffs: list, i: int) -> list:
@@ -90,7 +92,8 @@ def qbinomial_ext(n: int, m: int) -> BiLaurent:
     of z^(-m) in the expansion of (1 + 1/z)^n around z = 0.  n and m must be
     exact integers (ValueError otherwise).
     """
-    return BiLaurent.from_qdict(_ext_qdict(_exact_int(n), _exact_int(m)))
+    n, m = _exact_int(n), _exact_int(m)
+    return BiLaurent._raw({(e, 0): c for e, c in _ext_qdict(n, m).items()})
 
 
 def _ext_min_qexp(n: int, m: int):

@@ -271,7 +271,7 @@ def test_level_sums_repack_at_another_width(monkeypatch):
     # a kept level sum has dropped its binomials once packed; a call at a
     # wider byte width repacks it from the kept value
     def kept():
-        return [level for sums in fermionic._LEVELS.values()
+        return [level for _, sums in fermionic._LEVELS.values()
                 for at_yx in sums.values() for level in at_yx.values()]
 
     site = SiteVector(4, 25, 25, (20, 35, 45))

@@ -366,6 +366,49 @@ def test_kept_level_table_matches_brute_oracle(inputs, extended):
         assert {(Fraction(q), z): c for q, z, c in got.terms()} == want_wide
 
 
+@st.composite
+def _two_weights(draw):
+    # a coupling matrix of (p, d) with d <= p - 1, one box, and the sign
+    # cutoffs and the shift of v of two weights, as coinv_char_fermionic
+    # moves them: (N_+ - k, N_- + k) and v = (p/2 - k - 1) u
+    p = draw(st.integers(2, 5))
+    d = draw(st.integers(1, p - 1))
+    nvec = tuple(draw(st.integers(0, 9)) for _ in range(d + 2))
+    box = []
+    for a in range(d + 2):
+        lo = draw(st.integers(-3, 0)) if a < 2 else 0
+        box.append((lo, draw(st.integers(lo, 4 if a < 2 else 3))))
+    ks = draw(st.lists(st.integers(-2, p), min_size=2, max_size=2, unique=True))
+    return p, d, nvec, box, ks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_two_weights())
+def test_kept_level_table_serves_other_sign_cutoffs(case):
+    # a grouped call over a kept key reads the level table of an earlier
+    # call whose sign cutoffs differ; it must give what it gives built
+    # afresh, and the plain sum of the summands
+    p, d, nvec, box, ks = case
+
+    def weight(k):
+        data = QuadraticData.for_site(p, d, Fraction(p, 2) - k - 1)
+        cutoffs = (nvec[0] - k, nvec[1] + k) + nvec[2:]
+        return data, cutoffs, lattice_sum(data, cutoffs, box)
+
+    with mock.patch.object(fermionic, "_FACTOR_MIN", 0), \
+            mock.patch.object(fermionic, "_LEVELS", {}):
+        weight(ks[0])
+        first = list(fermionic._LEVELS.values())  # empty if it had no summand
+        data, cutoffs, got = weight(ks[1])
+        # the second call kept, and so read, the first one's table
+        assert all(a is b for a, b in zip(first, fermionic._LEVELS.values()))
+        fermionic._LEVELS.clear()
+        assert weight(ks[1])[2] == got
+    if math.prod(hi - lo + 1 for lo, hi in box) <= 3000:
+        want = lattice_sum_brute(data.matrix, data.u, data.v, cutoffs, box, True)
+        assert {(Fraction(q), z): c for q, z, c in got.terms()} == want
+
+
 def test_every_leaf_is_a_summand_on_the_tb_sweep():
     # no vector the enumerator yields may have a vanishing factor
     for p, d, plus, minus, levels in _site_cases(2, 4, 5, 2):
@@ -390,6 +433,15 @@ def test_lattice_sum_one_by_one():
     data = QuadraticData(((2,),), (1,))
     assert lattice_sum(data, (2,), [(-4, 4)]) == qz((0, 0, 1), (1, 1, 1))
     assert lattice_sum(data, (2,), [(1, 0)]) == 0  # an empty box
+
+
+def test_lattice_sum_over_no_coordinates():
+    # the empty vector is the one summand, its value 1: the walk of no
+    # steps yields one leaf
+    data = QuadraticData((), ())
+    assert lattice_sum_brute((), (), (), (), (), True) == {(0, 0): 1}
+    assert lattice_sum(data, (), ()) == BiLaurent.one()
+    assert lattice_sum(data, (), (), qmax=-HALF) == 0
 
 
 def test_lattice_sum_walks_a_deep_box():
