@@ -275,32 +275,29 @@ def _steps(box, rows, eff):
     return steps
 
 
-def _walk(steps, n, s, negs, out):
-    """Walk the coordinates of the steps in order, writing each value into
-    n, and append (copy of n, s, negs) to out at every leaf: s is the start
-    sums plus the walked coordinates' contribution to the rows, negs the
-    start negative coordinates plus the walked negative ones.  With no
-    steps, append once.
+def _walk(steps, start):
+    """The leaves (n, s, negs) of a walk of the steps in order from the
+    list of start leaves: n the vector, s the start sums plus the walked
+    coordinates' contribution to the rows, negs the start negative
+    coordinates plus the walked negative ones.  With no steps, the start.
 
-    One call per step, and the last step appends inline, so the recursion
-    is as deep as the steps are many (d for a level block), as in
-    _Chain.total and _ellipsoid.  n is not reset on the way back: _range
-    reads n only at the coordinates in negs, fixed before the walk or on
-    the current path, and each leaf copies n after its path is written.
+    Each step extends every partial vector in turn by each value that
+    _range gives its coordinate, in a copy of n.  So the leaves come in the
+    order of a depth-first walk, and the walk holds one depth of partial
+    vectors at a time, with no frame per step.
     """
-    if not steps:
-        out.append((n[:], s, negs))
-        return
-    step, rest = steps[0], steps[1:]
-    row, i = step[2], step[3][1]
-    for v in _range(step, s, negs, n):
-        n[i] = v
-        t = [x + v * c for x, c in zip(s, row)] if v else s
-        neg = negs + (i,) if v < 0 else negs
-        if rest:
-            _walk(rest, n, t, neg, out)
-        else:
-            out.append((n[:], t, neg))
+    leaves = start
+    for step in steps:
+        row, i = step[2], step[3][1]
+        grown = []
+        for n, s, negs in leaves:
+            for v in _range(step, s, negs, n):
+                m = n[:]
+                m[i] = v
+                grown.append((m, [x + v * c for x, c in zip(s, row)] if v else s,
+                              negs + (i,) if v < 0 else negs))
+        leaves = grown
+    return leaves
 
 
 def _leaves(box, rows, eff):
@@ -319,9 +316,7 @@ def _leaves(box, rows, eff):
     steps = _steps(box, rows, eff)
     if steps is None:
         return
-    leaves = []
-    _walk(steps, [0] * len(box), [0] * len(box), (), leaves)
-    for n, s, _ in leaves:
+    for n, s, _ in _walk(steps, [([0] * len(box), [0] * len(box), ())]):
         yield tuple(n), tuple(s)
 
 
@@ -453,18 +448,16 @@ def _groups(data, eff, v2, box, steps):
     """
     m = len(steps)
     ns = 2
+    start = [([0] * m, [0] * m, ())]
     if m <= ns:  # no level block
-        leaves = []
-        _walk(steps, [0] * m, [0] * m, (), leaves)
-        return _one_by_one(data, eff, v2, leaves)
+        return _one_by_one(data, eff, v2, _walk(steps, start))
     key = (data.matrix, data.u[ns:], tuple(v2[ns:]), tuple(eff[ns:]),
            tuple(box))
     kept = _LEVELS.get(key)
     if kept is None:
-        block, leaves = [], []
-        _walk(steps[: m - ns], [0] * m, [0] * m, (), block)
-        for leaf in block:
-            _walk(steps[m - ns:], *leaf, leaves)
+        leaves = []
+        for leaf in _walk(steps[: m - ns], start):
+            leaves += _walk(steps[m - ns:], [leaf])
             if len(leaves) > _FACTOR_MIN:
                 break
         else:
@@ -472,9 +465,8 @@ def _groups(data, eff, v2, box, steps):
         free = [1 + sum(abs(c) * max(abs(lo), abs(hi))
                         for c, (lo, hi) in zip(row, box))
                 for row in data.matrix[:ns]]  # sign cutoffs that cut nothing
-        block = []
-        _walk(_steps(box, data.matrix, free + eff[ns:])[: m - ns],
-              [0] * m, [0] * m, (), block)
+        block = _walk(_steps(box, data.matrix, free + eff[ns:])[: m - ns],
+                      start)
         _LEVELS.clear()
         kept = _LEVELS[key] = (_level_table(data, eff, v2, block), {})
     table, sums = kept
@@ -486,9 +478,7 @@ def _groups(data, eff, v2, box, steps):
            for lo, hi, row, own, room, need in steps[m - ns:]]  # sign rows
     parts = []
     for y, at_y in table.items():
-        signs = []
-        _walk(cut, [0] * ns, list(y), (), signs)
-        for (b0, b1), (s0, s1), _ in signs:
+        for (b0, b1), (s0, s1), _ in _walk(cut, [([0] * ns, list(y), ())]):
             x = tuple([c0 * b0 + c1 * b1 for c0, c1 in cross])
             levels = sums.get((y, x))
             if levels is None:

@@ -156,23 +156,28 @@ class _Chain:
     """The memoised chain behind supernomial for a checked vector
     L = entries; _chain keeps the chains of the last _CHAINS vectors.
 
-    total(pos, remaining, next_n) is the sum, over the choices of n_pos,
-    ..., n_1 with n_pos + ... + n_1 = remaining and n_{pos+1} = next_n, of
-    q^(sum_{i<=pos} n_i (S_{i+1} - n_{i+1})) times their binomials, as
-    (low, value): a packed int (see laurent) and the exponent of its first
-    digit, the least exponent of the sum, so no stored int holds low zero
-    digits.  supernomial(L, a) is total(k, a, 0), unpacked by value(a).
+    The node (pos, remaining, next_n) holds the sum, over the choices of
+    n_pos, ..., n_1 with n_pos + ... + n_1 = remaining and n_{pos+1} =
+    next_n, of q^(sum_{i<=pos} n_i (S_{i+1} - n_{i+1})) times their
+    binomials, as (low, value): a packed int (see laurent) and the exponent
+    of its first digit, the least exponent of the sum, so no stored int
+    holds low zero digits.  supernomial(L, a) is the node (k, a, 0),
+    unpacked by value(a).
 
     The sum under a node does not depend on the path to it, so every node is
     memoised and summed once: a child node, at positions 0..k-1, for every
-    a, and a position-k node (k, a, 0) for every read of a.  The packed node
-    is the one form of a value the chain keeps; value(a) unpacks it on each
-    read.  Every step exponent n (S_{i+1} - n_{i+1}) is >= 0, since
-    n_{i+1} <= S_{i+1}.  n_pos runs up to L_pos + next_n, past which its
-    binomial vanishes, and from what the positions below cannot take up:
-    they take at most W_{pos-1} + (pos-1) n_pos with W_i = sum_{j<=i}
-    j*L_j.  So every node visited is nonzero, and a position-1 node has one
-    term.
+    a, and a position-k node (k, a, 0) for every read of a.  A node sums
+    only nodes one position below it, over the n_pos of _children.  So
+    value fills a missing top node in two passes, with no frame per
+    position: from the top down it collects the nodes under it that the
+    memo lacks, one layer per position, and then it sums them layer by
+    layer from position 1 up.  The packed node is the one form of a value
+    the chain keeps; value(a) unpacks it on each read.  Every step exponent
+    n (S_{i+1} - n_{i+1}) is >= 0, since n_{i+1} <= S_{i+1}.  n_pos runs up
+    to L_pos + next_n, past which its binomial vanishes, and from what the
+    positions below cannot take up: they take at most W_{pos-1} + (pos-1)
+    n_pos with W_i = sum_{j<=i} j*L_j.  So every node visited is nonzero,
+    and a position-1 node has one term.
 
     Every coefficient is nonnegative and at most the value at q = 1 summed
     over all a, prod_j (j+1)^(L_j), which fixes one byte width for every
@@ -223,29 +228,39 @@ class _Chain:
         """The {q_exp: coefficient} dict of supernomial(L, a) for
         0 <= a <= sum_j j*L_j, read at the mirror min(a, top - a) and
         unpacked from its node on each read."""
+        memo, width, bits = self.memo, self.width, 8 * self.width
         key = (len(self.entries), min(a, self.below[-1] - a), 0)
-        if key not in self.memo:
-            self.memo[key] = self.total(*key)
-        low, packed = self.memo[key]
-        return _unpack_qdict(packed, self.width, low)  # canonical ints
+        if key not in memo:
+            # from the top down, the nodes under key that memo lacks, each
+            # with its values of n_pos, one layer per position
+            layers = [{key: self._children(*key)}]
+            for pos in range(key[0], 0, -1):
+                layers.append({child: self._children(*child)
+                               for (_, rest, _), kids in layers[-1].items()
+                               for n in kids
+                               if (child := (pos - 1, rest - n, n)) not in memo})
+            memo.update(dict.fromkeys(layers.pop(), (0, 1)))
+            for layer in reversed(layers):  # filled from position 1 up
+                for (pos, rest, next_n), kids in layer.items():
+                    top = self.entries[pos - 1] + next_n
+                    step = bits * (self.suffix[pos] - next_n)
+                    acc = 0
+                    for n in kids:
+                        low, value = memo[pos - 1, rest - n, n]
+                        acc += _packed(top, n, width) * value << step * n + bits * low
+                    low = ((acc & -acc).bit_length() - 1) // bits
+                    memo[pos, rest, next_n] = low, acc >> bits * low
+        low, packed = memo[key]
+        return _unpack_qdict(packed, width, low)  # canonical ints
 
-    def total(self, pos: int, remaining: int, next_n: int) -> tuple[int, int]:
-        if pos == 0:
-            return 0, 1
-        bits, width, memo = 8 * self.width, self.width, self.memo
+    def _children(self, pos: int, remaining: int, next_n: int) -> range:
+        """The values of n_pos under the node (pos, remaining, next_n); none
+        under a position-0 node, the empty sum 1."""
+        if not pos:
+            return range(0)
         top = self.entries[pos - 1] + next_n
-        step = bits * (self.suffix[pos] - next_n)
         least = max(0, -((self.below[pos - 1] - remaining) // pos))
-        acc = 0
-        for n in range(least, min(top, remaining) + 1):
-            key = (pos - 1, remaining - n, n)
-            child = memo.get(key)
-            if child is None:
-                child = memo[key] = self.total(*key)
-            low, value = child
-            acc += _packed(top, n, width) * value << step * n + bits * low
-        low = ((acc & -acc).bit_length() - 1) // bits
-        return low, acc >> bits * low
+        return range(least, min(top, remaining) + 1)
 
 
 _chain = lru_cache(maxsize=_CHAINS)(_Chain)
@@ -257,24 +272,25 @@ def _compositions(entries: tuple[int, ...], a: int):
     product of those binomials at q = 1 (math.comb).
 
     The products are folded along the composition tree, so a prefix shared
-    by several compositions is multiplied once.  Bounds follow the
-    vanishing of the binomial factors: n_k in [0, L_k], then n_i in
-    [0, L_i + n_{i+1}].  supernomial sums the same tree, with its
-    exponents, as a memoised chain (see _chain) instead."""
+    by several compositions is multiplied once.  The tree is walked depth
+    first from a stack, not a frame per entry, so the yields come in the
+    lexicographic order of (n_k, ..., n_2).  Bounds follow the vanishing of
+    the binomial factors: n_k in [0, L_k], then n_i in [0, L_i + n_{i+1}].
+    supernomial sums the same tree, with its exponents, as a memoised chain
+    (see _chain) instead."""
     if a < 0 or a > _top(entries):
         return
-
-    # Assign n_k, ..., n_2 recursively; n_1 is forced by the total.
-    def rec(pos: int, remaining: int, next_n: int, factors: int):
+    # (pos, remaining, next_n, factors) with n_k, ..., n_{pos+1} assigned;
+    # n_1 is forced by the total
+    stack = [(len(entries), a, 0, 1)]
+    while stack:
+        pos, remaining, next_n, factors = stack.pop()
         top = entries[pos - 1] + next_n
-        if pos == 1:
-            if remaining <= top:
-                yield factors * math.comb(top, remaining)
-            return
-        for n in range(0, min(top, remaining) + 1):
-            yield from rec(pos - 1, remaining - n, n, factors * math.comb(top, n))
-
-    yield from rec(len(entries), a, 0, 1)
+        if pos > 1:  # children pushed last first, so popped in order
+            stack += [(pos - 1, remaining - n, n, factors * math.comb(top, n))
+                      for n in range(min(top, remaining), -1, -1)]
+        elif remaining <= top:
+            yield factors * math.comb(top, remaining)
 
 
 def _top(entries) -> int:

@@ -186,6 +186,38 @@ def supernomial_brute(entries, a: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def supernomial_at1_dense(entries) -> list[int]:
+    """The coefficients of x^0, x^1, ... in prod_j (1 + x + ... + x^j)^(L_j)
+    with L = entries, multiplied out as dense lists one factor at a time:
+    the supernomials of L at q = 1, at every argument."""
+    coeffs = [1]
+    for j, count in enumerate(entries, 1):
+        for _ in range(count):
+            out = [0] * (len(coeffs) + j)
+            for deg, c in enumerate(coeffs):
+                for t in range(j + 1):
+                    out[deg + t] += c
+            coeffs = out
+    return coeffs
+
+
+def trinomial(m: int, A: int) -> dict:
+    """The q-trinomial of Andrews and Baxter (J. Stat. Phys. 47 (1987),
+    297-330) as an {exponent: coefficient} dict:
+
+        (m; A)_q = sum_j q^(j (j + A)) [m choose j] [m - j choose j + A]
+
+    with each Gaussian binomial counted by partitions in a box; the empty
+    dict when no j gives two nonzero binomials."""
+    out: dict = {}
+    for j in range(m + 1):
+        poly = poly_mul_brute(gaussian_binomial_by_boxes(m, j),
+                              gaussian_binomial_by_boxes(m - j, j + A))
+        for e, c in poly.items():
+            out[e + j * (j + A)] = out.get(e + j * (j + A), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def nonzero_compositions(entries, a: int) -> list[tuple]:
     """Every composition (n_1, ..., n_k) of a into k = len(entries)
     nonnegative parts whose Gaussian binomials [L_i + n_{i+1} choose n_i]

@@ -963,8 +963,33 @@ def _cli_runs(draw):
     return argv, config
 
 
+# inputs past the default recursion limit of 1,000 frames: 1,201 chain
+# positions, and 1,199 level coordinates on both routes.  Hypothesis raises
+# the limit while it runs a test, so only test_deep_inputs_compute_one runs
+# them under the default limit.
+_DEEP_RUNS = (
+    ["compute", "qsup", "--L=" + "0," * 1200 + "1", "--a=1"],
+    ["compute", "char-coinv", "--p=1200", "--r=0",
+     "--site=0,0;" + ",".join("0" * 1199), "--route=supernomial"],
+    ["compute", "char-coinv", "--p=1200", "--r=0",
+     "--site=0,0;" + ",".join("0" * 1199), "--route=fermionic"],
+)
+
+
+@pytest.mark.parametrize("argv", _DEEP_RUNS, ids=["qsup", "coinv-s", "coinv-f"])
+def test_deep_inputs_compute_one(capsys, argv):
+    # each value is 1, computed with no frame per entry or coordinate
+    assert sys.getrecursionlimit() == 1000
+    code, out, err = run_cli(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == ("1\n" if argv[1] == "qsup" else "z^(0) q^(0) * (1)\n")
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_cli_runs())
+@example((_DEEP_RUNS[0], None))
+@example((_DEEP_RUNS[1], None))
+@example((_DEEP_RUNS[2], None))
 @example((["verify", "all"], {"p_hi": 1}))
 @example((["verify", "all"], {"lo": 5, "hi": 2}))
 @example((["verify", "all"], {"hi": -1}))

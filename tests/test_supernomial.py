@@ -3,6 +3,7 @@
 import importlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from oracles import (
     nonzero_compositions,
     product_gf_coeff,
     second_diff_matrix,
+    supernomial_at1_dense,
     supernomial_brute,
+    trinomial,
     widths_from_multiplicities,
 )
 import itertools
@@ -223,6 +226,45 @@ def test_compositions_yield_once_per_nonzero_composition():
                     for pairs in nonzero_compositions(entries, a)]
             assert sorted(got) == sorted(want), (entries, a)
             assert supernomial_at1(entries, a) == sum(got)
+
+
+# 1,201 entries: deeper than the default recursion limit of 1,000 frames
+_DEEP = (0,) * 1200 + (1,)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 20, 1181, 1201])
+def test_supernomial_of_a_deep_vector_is_one(cold_memos, a):
+    # the one composition of a at L = (0, ..., 0, 1) is a block of a
+    # trailing ones, each binomial 1 and the exponent 0; the chain fills its
+    # 1,201 positions without a frame per position (1181 and 1201 read the
+    # nodes of 20 and 0 through the mirror)
+    assert sys.getrecursionlimit() == 1000
+    assert supernomial(_DEEP, a) == BiLaurent.one()
+
+
+def test_supernomial_at1_matches_dense_products(cold_memos):
+    # the q = 1 tree against prod_j (1 + ... + x^j)^(L_j) multiplied out:
+    # at every argument of L = (6, 6, 6, 6, 6), and at a few arguments of a
+    # vector deeper than the recursion limit
+    want = supernomial_at1_dense((6,) * 5)
+    assert [supernomial_at1((6,) * 5, a) for a in range(len(want))] == want
+    want = supernomial_at1_dense(_DEEP)
+    assert len(want) == 1202
+    for a in (0, 1, 2, 20):
+        assert supernomial_at1(_DEEP, a) == want[a]
+
+
+def test_two_entry_supernomials_are_q_trinomials(cold_memos):
+    # supernomial((0, m), a) is the q-trinomial (m; a - m)_q of Andrews and
+    # Baxter, with no monomial shift: one sum over j of two binomials, an
+    # oracle that shares neither the chain's composition sum nor its packing
+    pairs = 0
+    for m in range(16):
+        for a in range(2 * m + 1):
+            got = {q: c for q, z, c in supernomial((0, m), a).terms()}
+            assert got == trinomial(m, a - m), (m, a)
+            pairs += 1
+    assert pairs == 256
 
 
 def test_supernomial_at1_examples():
