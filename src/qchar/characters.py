@@ -84,20 +84,23 @@ def _prefactor(p: int, r: int) -> tuple:
 def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
     """Character of the weight-r irreducible: prefactor times the truncation
     of (1/(q)_inf) * sum_n z^n q^(p(n^2+n)/2 - n(r+1)).  p, r and the
-    cutoffs must be exact integers (ValueError otherwise)."""
+    cutoffs must be exact integers (ValueError otherwise).
+
+    Every exponent is >= 0 when 0 <= r < p, so each n reads a prefix of one
+    table of unrestricted partition counts up to qmax."""
     p, qmax, zwin = map(_exact_int, (p, qmax, zwin))
     if p < 1:
         raise ValueError("p must be positive")
     r = _weight(r, p)
     if qmax < 0 or zwin < 0:
         raise ValueError("cutoffs must be nonnegative")
+    partitions = bounded_partition_counts(qmax, qmax)
     acc: dict = {}
     for n in range(-zwin, zwin + 1):
         exponent = p * (n * n + n) // 2 - n * (r + 1)
         if exponent > qmax:
             continue
-        counts = bounded_partition_counts(qmax - exponent, qmax - exponent)
-        for j, c in enumerate(counts):
+        for j, c in enumerate(partitions[: qmax - exponent + 1]):
             acc[(exponent + j, n)] = acc.get((exponent + j, n), 0) + c
     q_shift, z_shift = _prefactor(p, r)
     return CharacterValue(q_shift, z_shift, BiLaurent(acc))

@@ -73,7 +73,6 @@ __all__ = [
     "gordon_series",
     "lattice_sum",
     "lattice_support",
-    "standard_flow_vector",
     "support_box",
 ]
 
@@ -114,13 +113,6 @@ def coupling_matrix(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def standard_flow_vector(size: int) -> tuple[int, ...]:
-    """(1, -1, 0, ..., 0): the z-grading direction."""
-    if size < 2:
-        raise ValueError("need at least the two sign coordinates")
-    return (1, -1) + (0,) * (size - 2)
-
-
 class QuadraticData(_Record):
     """Parameters of a lattice sum: symmetric integer matrix plus the
     z-grading vector u and the linear exponent shift v.
@@ -157,7 +149,7 @@ class QuadraticData(_Record):
         """Coupling matrix of (p, d), z-grading u = (1, -1, 0, ...) and
         exponent shift v = shift*u.  Built and validated once per
         (p, d, shift); the bound keeps the cache small."""
-        u = standard_flow_vector(d + 2)
+        u = (1, -1) + (0,) * d
         return cls(coupling_matrix(p, d), u, tuple(shift * x for x in u))
 
 
@@ -212,6 +204,16 @@ def _range(step, s, negs, n):
     step holds the coordinate's box (lo, hi), its row of A, its own sign row
     (A[i][i] - 1, i), and room / need: eff (+ 1) less the least / greatest
     contribution of the later coordinates over the box.
+
+    The sign row of a fixed negative coordinate a asks c * v >= r of this
+    coordinate's value v, c = row[a] and r = need[a] + n[a] - s[a].  A
+    coordinate with c = 0 in that row is never cut by it, since then
+    r <= 0.  The invariant: r is at most the greatest c * v over the box.
+    It holds at the step after a, whose own sign row cut its negative
+    branch to keep row a satisfiable by the greatest contribution of the
+    coordinates after it; a step with c != 0 cuts its range to c * v >= r,
+    which keeps it at the next step; and a step with c = 0 adds 0 to r and
+    to that greatest contribution.
     """
     lo, hi, row, own, room, need = step
     for a, c in enumerate(row):
@@ -231,8 +233,6 @@ def _range(step, s, negs, n):
             lo = max(lo, -(-r // c))
         elif c < 0:
             hi = min(hi, r // c)
-        elif r > 0:
-            return ()
     if lo >= 0 or lo > hi:
         return range(lo, hi + 1)
     # the negative branch is cut by the coordinate's own sign row

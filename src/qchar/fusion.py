@@ -43,18 +43,8 @@ class FusionVector(_Record):
             raise ValueError("multiplicities must be nonnegative")
         self._set(p, dims)
 
-    @classmethod
-    def unit(cls, p: int) -> "FusionVector":
-        return cls(p, (1,) + (0,) * (p - 1))
-
-    def __mul__(self, other: "FusionVector") -> "FusionVector":
-        return fuse(self, other)
-
     def __getitem__(self, r: int) -> int:
         return self.dims[r % self.p]
-
-    def total(self) -> int:
-        return sum(self.dims)
 
 
 def fuse(a: FusionVector, b: FusionVector) -> FusionVector:

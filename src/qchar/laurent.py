@@ -34,7 +34,6 @@ of `verify`'s knuth check.
 
 from __future__ import annotations
 
-import json
 import sys
 from array import array
 from fractions import Fraction
@@ -183,28 +182,13 @@ class BiLaurent:
             return self._terms == other._terms
         return NotImplemented
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def terms(self) -> list[tuple[Exp, int, int]]:
         """Terms as (q_exp, z_exp, coefficient), sorted lexicographically."""
         return [(q, z, c) for (q, z), c in sorted(self._terms.items())]
 
-    def coefficient(self, q: Exp = 0, z: int = 0) -> int:
-        return self._terms.get((norm_exp(q), z), 0)
-
-    def q_min(self):
-        return min((q for q, _ in self._terms), default=None)
-
-    def q_max(self):
-        return max((q for q, _ in self._terms), default=None)
-
-    def is_q_only(self) -> bool:
-        return all(z == 0 for _, z in self._terms)
-
     def qdict(self) -> dict:
         """The {q_exp: coefficient} dict of a z-free value."""
-        if not self.is_q_only():
+        if any(z for _, z in self._terms):
             raise ValueError("value depends on z")
         return {q: c for (q, _), c in self._terms.items()}
 
@@ -393,26 +377,13 @@ class BiLaurent:
     # -- serialization ---------------------------------------------------------
 
     def to_json_obj(self) -> dict:
+        """The terms as JSON data, exponents and coefficients as strings.
+        JSON is an output format only: nothing reads a value back."""
         return {
             "terms": [
                 {"q": str(q), "z": z, "c": str(c)} for q, z, c in self.terms()
             ]
         }
-
-    def dumps(self, **kwargs) -> str:
-        return json.dumps(self.to_json_obj(), **kwargs)
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "BiLaurent":
-        data = {}
-        for t in obj["terms"]:
-            key = (norm_exp(Fraction(t["q"])), int(t["z"]))
-            data[key] = data.get(key, 0) + int(t["c"])
-        return cls(data)
-
-    @classmethod
-    def loads(cls, s: str) -> "BiLaurent":
-        return cls.from_json_obj(json.loads(s))
 
 
 # -- partition series ---------------------------------------------------------

@@ -61,11 +61,6 @@ class SiteVector(_Record):
         """(N_0, ..., N_{d-1}, N_+ + N_-), the input of the L-transform."""
         return self.levels + (self.total,)
 
-    def is_monotone(self) -> bool:
-        """0 <= N_0 <= ... <= N_{d-1} <= N_+ + N_-."""
-        seq = (0,) + self.levels + (self.total,)
-        return all(a <= b for a, b in zip(seq, seq[1:]))
-
 
 def multiplicities(site: SiteVector) -> tuple[int, ...]:
     """The multiplicity vector L = profile * T of length d+1.
@@ -173,11 +168,9 @@ class _Chain:
     memo lacks, one layer per position, and then it sums them layer by
     layer from position 1 up.  The packed node is the one form of a value
     the chain keeps; value(a) unpacks it on each read.  Every step exponent
-    n (S_{i+1} - n_{i+1}) is >= 0, since n_{i+1} <= S_{i+1}.  n_pos runs up
-    to L_pos + next_n, past which its binomial vanishes, and from what the
-    positions below cannot take up: they take at most W_{pos-1} + (pos-1)
-    n_pos with W_i = sum_{j<=i} j*L_j.  So every node visited is nonzero,
-    and a position-1 node has one term.
+    n (S_{i+1} - n_{i+1}) is >= 0, since n_{i+1} <= S_{i+1}.  n_pos runs
+    over _children, the n under which some composition completes, so every
+    node visited is nonzero, and a position-1 node has one term.
 
     Every coefficient is nonnegative and at most the value at q = 1 summed
     over all a, prod_j (j+1)^(L_j), which fixes one byte width for every
@@ -233,9 +226,10 @@ class _Chain:
         if key not in memo:
             # from the top down, the nodes under key that memo lacks, each
             # with its values of n_pos, one layer per position
-            layers = [{key: self._children(*key)}]
+            entries, below = self.entries, self.below
+            layers = [{key: _children(entries, below, *key)}]
             for pos in range(key[0], 0, -1):
-                layers.append({child: self._children(*child)
+                layers.append({child: _children(entries, below, *child)
                                for (_, rest, _), kids in layers[-1].items()
                                for n in kids
                                if (child := (pos - 1, rest - n, n)) not in memo})
@@ -253,17 +247,23 @@ class _Chain:
         low, packed = memo[key]
         return _unpack_qdict(packed, width, low)  # canonical ints
 
-    def _children(self, pos: int, remaining: int, next_n: int) -> range:
-        """The values of n_pos under the node (pos, remaining, next_n); none
-        under a position-0 node, the empty sum 1."""
-        if not pos:
-            return range(0)
-        top = self.entries[pos - 1] + next_n
-        least = max(0, -((self.below[pos - 1] - remaining) // pos))
-        return range(least, min(top, remaining) + 1)
-
 
 _chain = lru_cache(maxsize=_CHAINS)(_Chain)
+
+
+def _children(entries, below, pos: int, remaining: int, next_n: int) -> range:
+    """The values of n_pos under the node (pos, remaining, next_n) of the
+    tree of L = entries, with below[i] = W_i = sum_{j<=i} j*L_j: exactly
+    the n under which some composition completes, and none under a
+    position-0 node (the empty sum 1).  n runs up to L_pos + next_n, past
+    which its binomial vanishes, and up to remaining.  The positions below
+    take every total from 0 up to W_{pos-1} + (pos-1) n, so n runs from the
+    least n with remaining - n <= W_{pos-1} + (pos-1) n."""
+    if not pos:
+        return range(0)
+    top = entries[pos - 1] + next_n
+    least = max(0, -((below[pos - 1] - remaining) // pos))
+    return range(least, min(top, remaining) + 1)
 
 
 def _compositions(entries: tuple[int, ...], a: int):
@@ -274,23 +274,25 @@ def _compositions(entries: tuple[int, ...], a: int):
     The products are folded along the composition tree, so a prefix shared
     by several compositions is multiplied once.  The tree is walked depth
     first from a stack, not a frame per entry, so the yields come in the
-    lexicographic order of (n_k, ..., n_2).  Bounds follow the vanishing of
-    the binomial factors: n_k in [0, L_k], then n_i in [0, L_i + n_{i+1}].
+    lexicographic order of (n_k, ..., n_2).  Each node pushes only the n of
+    _children, the range rule of the chain, so every node pushed completes
+    some composition, and a outside 0..sum_j j*L_j pushes none.
     supernomial sums the same tree, with its exponents, as a memoised chain
     (see _chain) instead."""
-    if a < 0 or a > _top(entries):
-        return
+    below = [0, *accumulate(j * v for j, v in enumerate(entries, 1))]
     # (pos, remaining, next_n, factors) with n_k, ..., n_{pos+1} assigned;
-    # n_1 is forced by the total
+    # at position 1 the range holds at most n_1 = remaining
     stack = [(len(entries), a, 0, 1)]
     while stack:
         pos, remaining, next_n, factors = stack.pop()
         top = entries[pos - 1] + next_n
+        kids = _children(entries, below, pos, remaining, next_n)
         if pos > 1:  # children pushed last first, so popped in order
             stack += [(pos - 1, remaining - n, n, factors * math.comb(top, n))
-                      for n in range(min(top, remaining), -1, -1)]
-        elif remaining <= top:
-            yield factors * math.comb(top, remaining)
+                      for n in reversed(kids)]
+        else:
+            for n in kids:
+                yield factors * math.comb(top, n)
 
 
 def _top(entries) -> int:

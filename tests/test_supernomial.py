@@ -14,6 +14,7 @@ from qchar.laurent import BiLaurent
 from qchar.qbinom import qbinomial
 from qchar.supernomial import (
     SiteVector,
+    _children,
     _compositions,
     _residue_class,
     multiplicities,
@@ -92,12 +93,6 @@ def test_site_vector_validation():
         SiteVector(1, 0, 0)
     with pytest.raises(ValueError):
         SiteVector(2, 0, 0, (1, 1))  # d > 2p-3
-
-
-def test_site_vector_monotone():
-    assert SiteVector(3, 1, 1, (1, 2)).is_monotone()
-    assert not SiteVector(3, 1, 1, (2, 1)).is_monotone()
-    assert not SiteVector(3, 0, 0, (1, 1)).is_monotone()
 
 
 def test_supernomial_single_column_is_gaussian():
@@ -226,6 +221,33 @@ def test_compositions_yield_once_per_nonzero_composition():
                     for pairs in nonzero_compositions(entries, a)]
             assert sorted(got) == sorted(want), (entries, a)
             assert supernomial_at1(entries, a) == sum(got)
+
+
+def test_children_hold_exactly_the_n_under_which_a_composition_completes():
+    # every node (pos, rest, next_n) of the trees of small L, walked with
+    # n_pos over all of 0..min(L_pos + next_n, rest): the range of the
+    # node is exactly the n after which some n_(pos-1), ..., n_1 with
+    # nonzero binomials completes the composition
+    def completes(pos, rest, next_n):
+        if not pos:
+            return rest == 0
+        return bool(nonzero_compositions(
+            entries[: pos - 1] + (entries[pos - 1] + next_n,), rest))
+
+    for k in (1, 2, 3):
+        for entries in itertools.product(range(4), repeat=k):
+            below = [sum(j * entries[j - 1] for j in range(1, i + 1))
+                     for i in range(k + 1)]
+            for a in range(-1, below[-1] + 2):
+                stack = [(k, a, 0)]
+                while stack:
+                    pos, rest, next_n = stack.pop()
+                    widest = range(min(entries[pos - 1] + next_n, rest) + 1)
+                    want = [n for n in widest if completes(pos - 1, rest - n, n)]
+                    got = _children(entries, below, pos, rest, next_n)
+                    assert list(got) == want, (entries, a, pos, rest, next_n)
+                    if pos > 1:
+                        stack += [(pos - 1, rest - n, n) for n in widest]
 
 
 # 1,201 entries: deeper than the default recursion limit of 1,000 frames

@@ -1,10 +1,14 @@
-"""Print the code lines of each module of a package directory and the total.
+"""Print the code lines and the public names of each module of a package
+directory, and the totals.
 
     python tools/code_lines.py [src/qchar]
 
 A code line is a line that holds a token other than a comment, a newline or
 an indent; the lines of docstrings (the first statement of a module, class
-or function, when it is a string) do not count.
+or function, when it is a string) do not count.  The public names of a
+module are the entries of its __all__, plus the names without a leading
+underscore that the classes it lists define.  A package's __init__ counts
+the names it re-exports, so the total counts those twice.
 """
 
 import ast
@@ -37,14 +41,36 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def public_names(source: str) -> int:
+    tree = ast.parse(source)
+    listed = []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            listed = ast.literal_eval(node.value)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in listed:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets
+                                 if isinstance(t, ast.Name))
+    return len(listed) + sum(not name.startswith("_") for name in names)
+
+
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/qchar")
-    total = 0
+    lines = names = 0
+    print(f"{'module':<16} {'lines':>5} {'public':>6}")
     for path in sorted(root.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name:<16} {count:>5}")
-    print(f"{'total':<16} {total:>5}")
+        source = path.read_text(encoding="utf-8")
+        count, public = code_lines(source), public_names(source)
+        lines, names = lines + count, names + public
+        print(f"{path.name:<16} {count:>5} {public:>6}")
+    print(f"{'total':<16} {lines:>5} {names:>6}")
     return 0
 
 
