@@ -103,7 +103,8 @@ def rep_character(p: int, r: int, qmax: int, zwin: int) -> CharacterValue:
         for j, c in enumerate(partitions[: qmax - exponent + 1]):
             acc[(exponent + j, n)] = acc.get((exponent + j, n), 0) + c
     q_shift, z_shift = _prefactor(p, r)
-    return CharacterValue(q_shift, z_shift, BiLaurent(acc))
+    # int keys, and every count a sum of partition counts >= 1: canonical
+    return CharacterValue(q_shift, z_shift, BiLaurent._raw(acc))
 
 
 def _moved(site: SiteVector, k: int) -> SiteVector:

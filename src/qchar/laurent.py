@@ -17,19 +17,20 @@ Coefficients are arbitrary-precision Python ints throughout; nothing is
 ever rounded or reduced modulo anything.
 
 Inside the engine, a z-free polynomial is a raw {q_exp: coefficient} dict
-with int exponents and no zero value (`_qdict_*`), the form of the binomial
-table.  The lattice and supernomial sums compute in packed ints instead
-(Kronecker substitution, Harvey, arXiv:0712.4046): sum c_k q^k is the int
-sum c_k 2^(8wk), at one byte width w per sum.  Packing is a ring
-homomorphism: each distinct binomial is packed once, products are int
-products, a term at exponent e is added shifted by 8w*e bits, and each part
-of the sum is unpacked once, at the end.  A bound on the final coefficients
-fixes w with every |c_k| < 2^(8w-1), so each digit reads back exactly,
-whatever its sign.  Lattice exponents lie in (1/2)Z and are carried doubled,
-as an int e2, with one part per (z-degree, e2 & 1), which
-`BiLaurent._from_halves` joins.  Every product of the engine is packed;
-`_qdict_mul` is the schoolbook product of two dicts for the small products
-of `verify`'s knuth check.
+with int exponents and no zero value (`_qdict_*`), the form a binomial is
+built in.  The lattice and supernomial sums, and verify's product checks,
+compute in packed ints instead (Kronecker substitution, Harvey,
+arXiv:0712.4046): sum c_k q^k is the int sum c_k 2^(8wk), at one byte width
+w per sum.  Packing is a ring homomorphism: each distinct binomial is
+packed once, products are int products, a term at exponent e is added
+shifted by 8w*e bits, and each part of the sum is unpacked once, at the
+end.  A bound on the final coefficients fixes w with every |c_k| <
+2^(8w-1), so each digit reads back exactly, whatever its sign.  Lattice
+exponents lie in (1/2)Z and are carried doubled, as an int e2, with one
+part per (z-degree, e2 & 1), which `BiLaurent._from_halves` joins.  Every
+product of the engine is packed; `_qdict_mul`, the schoolbook product of
+two dicts, has no caller in qchar and is kept only because the benchmark's
+tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -419,7 +420,9 @@ _NATIVE_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _qdict_mul(a: dict, b: dict) -> dict:
-    """Schoolbook product of two q-exponent dicts."""
+    """Schoolbook product of two q-exponent dicts.  Nothing in qchar calls
+    it: every product is packed.  It stays, with this name, while the
+    benchmark's tracer (perfbench/tracer.py) wraps it by name."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}

@@ -11,16 +11,17 @@ unique family satisfying both q-Pascal recurrences
 at every integer (n, m), with X(m, m) = 1 and X(n, 0) = 0 for n < 0.
 
 Every binomial, standard or extended, is built as an int-keyed
-{q_exp: coeff} dict by _ext_qdict, a bounded lru_cache.  qbinomial and
-qbinomial_ext check their arguments and wrap those dicts in a BiLaurent on
-each call without checking them again, since _ext_qdict builds them with
-int exponents and no zero coefficient; the lattice and supernomial sums
-multiply them as packed ints (see laurent).  A packed binomial depends
-only on (n, m) and the byte width, so _packed keeps the last _BINOMIALS of
-them, keyed by (n, m, width), and each binomial is packed once per process
-and width, not once per sum.
+{q_exp: coeff} dict by _ext_qdict, which keeps nothing.  qbinomial and
+qbinomial_ext check their arguments and wrap a fresh dict in a BiLaurent
+on each call without checking it again, since _ext_qdict builds it with
+int exponents and no zero coefficient.  The lattice and supernomial sums,
+and verify's product checks, multiply binomials as packed ints (see
+laurent).  A packed binomial depends only on (n, m) and the byte width, so
+_packed, the one binomial table, keeps the last _BINOMIALS of them, keyed
+by (n, m, width): each binomial is built and packed once per process and
+width, not once per sum.
 
-All functions are pure; the memo tables are written idempotently, so
+All functions are pure; the memo table is written idempotently, so
 concurrent use (threads or forked workers) is safe.
 """
 
@@ -34,11 +35,11 @@ from .laurent import BiLaurent, _exact_int, _pack
 
 __all__ = ["qpochhammer", "qbinomial", "qbinomial_ext"]
 
-# binomials kept, in each of the two memos.  verify all builds 499 and
-# packs 301; one cold coinv_char_* loop over r, both routes, at the full
-# site L = (k, ..., k) packs 985 distinct (n, m, width) at p = 5, k = 6,
-# 1,133 at p = 6, k = 6, 1,351 at p = 4, k = 11 and 1,868 at p = 4, k = 13,
-# the largest measured, so none of them evicts a binomial
+# packed binomials kept by _packed, the one binomial table.  One cold
+# coinv_char_* loop over r, both routes, at the full site L = (k, ..., k)
+# packs 985 distinct (n, m, width) at p = 5, k = 6, 1,133 at p = 6, k = 6,
+# 1,351 at p = 4, k = 11 and 1,868 at p = 4, k = 13, the largest measured,
+# so none of them evicts a binomial
 _BINOMIALS = 2048
 
 
@@ -113,11 +114,9 @@ def _ext_min_qexp(n: int, m: int):
     return -((d * d + d) // 2) - d * (-n - 1)
 
 
-@lru_cache(maxsize=_BINOMIALS)
 def _ext_qdict(n: int, m: int) -> dict:
     """{q_exp: coeff} form of qbinomial_ext(n, m), with int exponents in
-    ascending order and no zero coefficient; the one binomial memo, of the
-    last _BINOMIALS pairs (n, m).
+    ascending order and no zero coefficient, built anew on each call.
 
     For n >= m >= 0 it is the product formula
 
@@ -150,7 +149,7 @@ def _ext_qdict(n: int, m: int) -> dict:
 
 @lru_cache(maxsize=_BINOMIALS)
 def _packed(n: int, m: int, width: int) -> int:
-    """qbinomial_ext(n, m) packed at `width` bytes (see laurent), of the
-    last _BINOMIALS keys (n, m, width).  The caller picks a width at which
-    every coefficient of the binomial fits."""
+    """qbinomial_ext(n, m) packed at `width` bytes (see laurent); the one
+    binomial table, of the last _BINOMIALS keys (n, m, width).  The caller
+    picks a width at which every coefficient of the binomial fits."""
     return _pack(_ext_qdict(n, m).values(), width)

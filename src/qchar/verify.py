@@ -39,15 +39,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import sub
 
-from .laurent import (
-    BiLaurent,
-    _Record,
-    _qdict_iadd,
-    _qdict_mul,
-    _unpack_qdict,
-    _width,
-)
-from .qbinom import _ext_min_qexp, _ext_qdict, _packed, qbinomial, qbinomial_ext
+from .laurent import BiLaurent, _Record, _unpack_qdict, _width
+from .qbinom import _ext_min_qexp, _packed, qbinomial_ext
 from .supernomial import (
     SiteVector,
     _top,
@@ -282,56 +275,16 @@ def _check_pascal(case):
     return None
 
 
-# -- rdc -------------------------------------------------------------------------
+# -- rdc / knuth: sums of binomial products, compared packed ---------------------
 
 
-def _cases_rdc(opts):
-    b = opts["bound"]
-    return itertools.product(range(-b, b + 1), repeat=4)  # (N, M, n, m)
-
-
-def _rdc_sides(big_n, big_m, n, m):
-    """(width, least exponent, lhs, rhs): the two sides of rdc at
-    (N, M, n, m) as packed ints at `width` bytes, each from the least
-    exponent up (see _check_rdc)."""
-    products = []  # (side, q-shift, tops, bottoms) with no zero factor
-    if not (_ext_min_qexp(big_n, n) is None or _ext_min_qexp(big_m, m) is None):
-        products.append((0, 0, (big_n, big_m), (n, m)))
-    s = big_n + big_m - n - m
-    if s >= 0:
-        # X(t, b) != 0 exactly when 0 <= b <= t or b <= t < 0.  For the
-        # first two factors that puts l in [lo, hi]: s >= 0 makes N - m or
-        # M - n nonnegative, and that factor caps l at n or m.  The third
-        # factor X(s + l, l) leaves out -s <= l < 0
-        lo = n + m - min(big_n, big_m)
-        hi = min(n if big_n >= m else m, m if big_m >= n else n)
-        products.extend(
-            (1, (n - l) * (m - l), (big_n - m, big_m - n, s + l),
-             (n - l, m - l, l))
-            for l in itertools.chain(range(lo, min(hi, -s - 1) + 1),
-                                     range(max(lo, 0), hi + 1))
-        )
-    bound = 0
-    lows = []
-    for _, shift, tops, bottoms in products:
-        _, low, norm = _factor_data(tops, bottoms, 2 * shift)
-        bound += norm
-        lows.append(low)
-    width = _width(bound)
-    bits = 8 * width
-    base = min(lows, default=0)
-    sides = [0, 0]
-    for (side, _, tops, bottoms), low in zip(products, lows):
-        sides[side] += math.prod(
-            [_packed(t, b, width) for t, b in zip(tops, bottoms)]
-        ) << bits * (low - base)
-    return width, base, *sides
-
-
-def _check_rdc(case):
-    """X(N,n) X(M,m) = sum_l q^((n-l)(m-l)) X(N-m,n-l) X(M-n,m-l)
-    X(N+M-n-m+l,l), X = qbinomial_ext, with both sides compared as single
-    packed ints (Kronecker substitution, see laurent).
+def _packed_sides(products):
+    """(width, least exponent, lhs, rhs): the two sides of an identity
+    between sums of binomial products, as packed ints at `width` bytes, each
+    from the least exponent up.  `products` lists (side, q-shift, tops,
+    bottoms) with no zero factor, each the term q^shift prod_j X(tops[j],
+    bottoms[j]) of the lhs (side 0) or the rhs (side 1), X =
+    qbinomial_ext; the factors are read from the packed binomial table.
 
     The width.  Write |f|_1 for the sum of the absolute coefficients of a
     polynomial f.  Each coefficient of a product fg is a sum of products of
@@ -351,16 +304,69 @@ def _check_rdc(case):
     polynomials are, and each side unpacks exactly into the failure
     payload.
     """
-    width, base, lhs, rhs = _rdc_sides(*case)
+    bound = 0
+    lows = []
+    for _, shift, tops, bottoms in products:
+        _, low, norm = _factor_data(tops, bottoms, 2 * shift)
+        bound += norm
+        lows.append(low)
+    width = _width(bound)
+    bits = 8 * width
+    base = min(lows, default=0)
+    sides = [0, 0]
+    for (side, _, tops, bottoms), low in zip(products, lows):
+        sides[side] += math.prod(
+            [_packed(t, b, width) for t, b in zip(tops, bottoms)]
+        ) << bits * (low - base)
+    return width, base, *sides
+
+
+def _compare_packed(params, products):
+    """None when the two sides of `products` (see _packed_sides) are equal,
+    else the failure payload, with each side unpacked."""
+    width, base, lhs, rhs = _packed_sides(products)
     if lhs == rhs:
         return None
+    return _compare(params, *(
+        BiLaurent.from_qdict(_unpack_qdict(side, width, base))
+        for side in (lhs, rhs)))
+
+
+def _cases_rdc(opts):
+    b = opts["bound"]
+    return itertools.product(range(-b, b + 1), repeat=4)  # (N, M, n, m)
+
+
+def _rdc_products(big_n, big_m, n, m):
+    """The products of both sides of rdc at (N, M, n, m) with no zero
+    factor, as _packed_sides takes them."""
+    products = []
+    if not (_ext_min_qexp(big_n, n) is None or _ext_min_qexp(big_m, m) is None):
+        products.append((0, 0, (big_n, big_m), (n, m)))
+    s = big_n + big_m - n - m
+    if s >= 0:
+        # X(t, b) != 0 exactly when 0 <= b <= t or b <= t < 0.  For the
+        # first two factors that puts l in [lo, hi]: s >= 0 makes N - m or
+        # M - n nonnegative, and that factor caps l at n or m.  The third
+        # factor X(s + l, l) leaves out -s <= l < 0
+        lo = n + m - min(big_n, big_m)
+        hi = min(n if big_n >= m else m, m if big_m >= n else n)
+        products.extend(
+            (1, (n - l) * (m - l), (big_n - m, big_m - n, s + l),
+             (n - l, m - l, l))
+            for l in itertools.chain(range(lo, min(hi, -s - 1) + 1),
+                                     range(max(lo, 0), hi + 1))
+        )
+    return products
+
+
+def _check_rdc(case):
+    """X(N,n) X(M,m) = sum_l q^((n-l)(m-l)) X(N-m,n-l) X(M-n,m-l)
+    X(N+M-n-m+l,l), X = qbinomial_ext, with both sides compared as single
+    packed ints (Kronecker substitution, see laurent and _packed_sides)."""
     big_n, big_m, n, m = case
-    return _compare({"N": big_n, "M": big_m, "n": n, "m": m},
-                    *(BiLaurent.from_qdict(_unpack_qdict(side, width, base))
-                      for side in (lhs, rhs)))
-
-
-# -- knuth -----------------------------------------------------------------------
+    return _compare_packed({"N": big_n, "M": big_m, "n": n, "m": m},
+                           _rdc_products(*case))
 
 
 def _cases_knuth(opts):
@@ -374,18 +380,27 @@ def _cases_knuth(opts):
     )
 
 
+def _knuth_products(big_m, big_s, a):
+    """The products of both sides of knuth at (M, S, a) with no zero
+    factor, as _packed_sides takes them.  For M < 0, X(M, a + k) X(S, k)
+    vanishes outside 0 <= k <= S, and for M >= 0 outside -a <= k <= M - a."""
+    lo, hi = (-a, big_m - a) if big_m >= 0 else (0, big_s)
+    products = [(0, k * k + a * k, (big_m, big_s), (a + k, k))
+                for k in range(lo, hi + 1)
+                if not (_ext_min_qexp(big_m, a + k) is None
+                        or _ext_min_qexp(big_s, k) is None)]
+    if _ext_min_qexp(big_m + big_s, big_s + a) is not None:
+        products.append((1, 0, (big_m + big_s,), (big_s + a,)))
+    return products
+
+
 def _check_knuth(case):
+    """sum_k q^(k^2+ak) X(M,a+k) X(S,k) = X(M+S,S+a) for M + S >= 0, X =
+    qbinomial_ext, with both sides compared as single packed ints (see
+    _packed_sides)."""
     big_m, big_s, a = case
-    if big_m >= 0:
-        lo, hi = -a, big_m - a
-    else:
-        lo, hi = 0, big_s
-    lhs: dict = {}
-    for k in range(lo, hi + 1):
-        t = _qdict_mul(_ext_qdict(big_m, a + k), _ext_qdict(big_s, k))
-        _qdict_iadd(lhs, t, k * k + a * k)
-    return _compare({"M": big_m, "S": big_s, "a": a}, BiLaurent.from_qdict(lhs),
-                    qbinomial(big_m + big_s, big_s + a))
+    return _compare_packed({"M": big_m, "S": big_s, "a": a},
+                           _knuth_products(*case))
 
 
 # -- ta / tb -----------------------------------------------------------------------
@@ -551,7 +566,8 @@ def _check_chareq(case):
     return _compare(params, lhs, rhs)
 
 
-def _cases_flow(opts):
+def _cases_full(opts):
+    """The full-site cases of flow and dims (see _full_site_cases)."""
     return _full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"])
 
 
@@ -566,10 +582,6 @@ def _check_flow(case):
             "rhs": payload["rhs"],
         }
     return None
-
-
-def _cases_dims(opts):
-    return _full_site_cases(opts["p_lo"], opts["p_hi"], opts["entry_max"])
 
 
 def _check_dims(case):
@@ -601,8 +613,8 @@ _REGISTRY = {
                                      "seed": 0}),
     "char-eq": (_cases_chareq, _check_chareq, {"p_lo": 2, "p_hi": 3,
                                                "entry_max": 4}),
-    "flow": (_cases_flow, _check_flow, {"p_lo": 2, "p_hi": 3, "entry_max": 4}),
-    "dims": (_cases_dims, _check_dims, {"p_lo": 2, "p_hi": 3, "entry_max": 4}),
+    "flow": (_cases_full, _check_flow, {"p_lo": 2, "p_hi": 3, "entry_max": 4}),
+    "dims": (_cases_full, _check_dims, {"p_lo": 2, "p_hi": 3, "entry_max": 4}),
 }
 
 ALL_IDENTITIES = tuple(_REGISTRY)

@@ -418,16 +418,17 @@ def test_verify_rejects_options_no_identity_takes(capsys, tmp_path, identity,
         _library_refuses(identity, config, err)
 
 
+def _corrupt_x31(monkeypatch):
+    # X(3, 1) = 1 + q in the packed binomial table verify reads: it drops
+    # the q^2 term of [3 choose 1]
+    real = verify._packed
+    monkeypatch.setattr(verify, "_packed", lambda n, m, width: (
+        _pack([1, 1], width) if (n, m) == (3, 1) else real(n, m, width)))
+
+
 def test_corrupted_engine_is_caught(capsys, monkeypatch):
     # a deliberately wrong extended binomial must produce a counterexample
-    real = verify._ext_qdict
-
-    def corrupted(n, m):
-        if (n, m) == (3, 1):
-            return {0: 1, 1: 1}  # drops the q^2 term of [3 choose 1]
-        return real(n, m)
-
-    monkeypatch.setattr(verify, "_ext_qdict", corrupted)
+    _corrupt_x31(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "knuth", "--range", "3")
     assert code == 1
     assert "counterexample" in out
@@ -489,6 +490,20 @@ def test_corrupted_rdc_factor_pins_the_payload(capsys, monkeypatch):
         _terms(("0", 0, "1"), ("1", 0, "1")))
 
 
+def test_corrupted_knuth_binomial_pins_the_payload(capsys, monkeypatch):
+    # both sides read the corrupted table.  The first failure is (M, S, a)
+    # = (-2, 3, -3), whose whole lhs X(-2, -2) X(3, 1) q^-2 loses its 1
+    # against the rhs X(1, 0).  Of the 553 cases, 53 read X(3, 1) on the
+    # lhs and 7 on the rhs; all fail but (3, 0, 1), whose two sides are
+    # X(3, 1) alone
+    _corrupt_x31(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "knuth", "--range", "3")
+    assert code == 1
+    assert out == _counterexample_stdout(
+        "knuth: 553 cases, 58 failures", {"M": -2, "S": 3, "a": -3},
+        _terms(), _terms(("0", 0, "1")))
+
+
 def _rdc_sides_brute(big_n, big_m, n, m):
     """Both sides of rdc as {exponent: coefficient}, from the box-counted
     binomials multiplied term by term, the sum over every l at which no
@@ -516,8 +531,38 @@ def _rdc_sides_brute(big_n, big_m, n, m):
 def test_rdc_sides_unpack_to_the_brute_products(case):
     # coefficients past 2^15, each at a width where one byte less would not
     # hold the largest of them, on standard, reflected and mixed factors
-    width, low, lhs, rhs = verify._rdc_sides(*case)
+    width, low, lhs, rhs = verify._packed_sides(verify._rdc_products(*case))
     want = _rdc_sides_brute(*case)
+    assert [_unpack_qdict(side, width, low) for side in (lhs, rhs)] == list(want)
+    assert want[0] == want[1]
+    top = max(map(abs, want[0].values()))
+    assert 2**15 < top and top.bit_length() >= 8 * (width - 1)
+
+
+def _knuth_sides_brute(big_m, big_s, a):
+    """Both sides of knuth as {exponent: coefficient}, from the box-counted
+    binomials multiplied term by term, the lhs summed over a range of k
+    that holds every k at which neither factor vanishes."""
+    lhs: dict = {}
+    reach = abs(big_m) + abs(big_s) + abs(a)
+    for k in range(-reach, reach + 1):
+        first = ext_binomial_brute(big_m, a + k)
+        if not first:  # the second factor need not be counted
+            continue
+        product = poly_mul_brute(first, ext_binomial_brute(big_s, k))
+        for e, coeff in product.items():
+            e += k * k + a * k
+            lhs[e] = lhs.get(e, 0) + coeff
+    return ({e: c for e, c in lhs.items() if c},
+            ext_binomial_brute(big_m + big_s, big_s + a))
+
+
+@pytest.mark.parametrize("case", [(13, 13, -5), (-1, 27, -9)])
+def test_knuth_sides_unpack_to_the_brute_products(case):
+    # coefficients past 2^15, each at a width where one byte less would not
+    # hold the largest of them, on standard and reflected (M < 0) factors
+    width, low, lhs, rhs = verify._packed_sides(verify._knuth_products(*case))
+    want = _knuth_sides_brute(*case)
     assert [_unpack_qdict(side, width, low) for side in (lhs, rhs)] == list(want)
     assert want[0] == want[1]
     top = max(map(abs, want[0].values()))
@@ -1126,11 +1171,15 @@ def _readme_memo_tables():
 def test_readme_lists_every_memo_table():
     listed = _readme_memo_tables()
     assert _memo_tables_in_src() <= listed
-    for name in listed:  # every row names an object that exists
+    for name in listed:  # every row names a memo table that exists
         module, *path = name.split(".")
         obj = importlib.import_module(f"qchar.{module}")
         for attr in path:
             obj = getattr(obj, attr)
+        # a functools cache, or a module-level dict; a row left behind
+        # when a function stops keeping a table fails here
+        assert (hasattr(getattr(obj, "__func__", obj), "cache_info")
+                or (isinstance(obj, dict) and len(path) == 1)), name
 
 
 def test_every_memo_is_bounded(cold_memos):
